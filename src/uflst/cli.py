@@ -115,45 +115,31 @@ def cmd_eval(args):
     return 0
 
 
-def _gradcheck_loss(kind, rng, labels, n_s):
+GRADCHECK_KINDS = ("prototype", "triplet_hinge", "triplet_soft_margin")
+
+
+def _gradcheck_loss(kind, emb0, labels):
+    """The loss as a fixed function of the embeddings, or None when a hinge
+    sits too close to its kink at `emb0`.
+
+    Prototype support is the first row of each class; triplets are mined
+    once, at `emb0`, and then held fixed.
+    """
     if kind == "prototype":
         support_mask = np.zeros(labels.size, dtype=bool)
         for c in np.unique(labels):
-            rows = np.flatnonzero(labels == c)
-            support_mask[rows[:n_s]] = True
-
-        def fn(emb):
-            return losses.prototype_loss(emb, labels, support_mask)
-
-        return fn, None
-
-    def make(emb0):
-        a, p, n, _ = losses.mine_hard_triplets(emb0, labels)
-        return a, p, n
-
-    def fn_factory(emb0, soft):
-        a, p, n = make(emb0)
-
-        def fn(emb):
-            f = (losses.triplet_soft_margin_loss if soft
-                 else losses.triplet_hinge_loss)
-            loss, (ga, gp, gn) = f(emb[a], emb[p], emb[n], 0.5)
-            grad = np.zeros_like(emb)
-            np.add.at(grad, a, ga)
-            np.add.at(grad, p, gp)
-            np.add.at(grad, n, gn)
-            return loss, grad
-
-        return fn
-
-    return None, fn_factory
-
-
-def _kink_margin(params, batch):
-    """Smallest |pre-activation| over hidden relu units for this batch."""
-    _, cache = network.forward(params, batch)
-    margins = [np.min(np.abs(z)) for z in cache["pre_acts"][:-1]]
-    return min(margins)
+            support_mask[np.flatnonzero(labels == c)[0]] = True
+        return lambda emb: losses.prototype_loss(emb, labels, support_mask)
+    a, p, n, _ = losses.mine_hard_triplets(emb0, labels)
+    if kind == "triplet_hinge":
+        _, _, pre = losses.triplet_pre_activation(emb0[a], emb0[p], emb0[n],
+                                                  0.5)
+        if np.any(np.abs(pre) < 1e-1):
+            return None
+        fn = losses.triplet_hinge_loss
+    else:
+        fn = losses.triplet_soft_margin_loss
+    return lambda emb: losses.indexed_triplet_loss(fn, emb, a, p, n, 0.5)
 
 
 def run_gradient_suite(seed=0, trials=5, tol=1e-4, step=4e-3):
@@ -163,33 +149,24 @@ def run_gradient_suite(seed=0, trials=5, tol=1e-4, step=4e-3):
     a central difference stepping across a kink measures the wrong thing.
     """
     results = {}
-    for kind in ("prototype", "triplet_hinge", "triplet_soft_margin"):
+    for kind_tag, kind in enumerate(GRADCHECK_KINDS):
         worst = 0.0
         done = 0
         attempt = 0
         while done < trials:
-            kind_tag = ("prototype", "triplet_hinge",
-                        "triplet_soft_margin").index(kind)
             rng = np.random.default_rng([seed, attempt, kind_tag])
             attempt += 1
             params = network.init_params([5, 8, 7, 4],
                                          seed=1000 * attempt + seed + 1)
             batch = rng.normal(size=(9, 5))
             labels = np.repeat(np.arange(3), 3)
-            if _kink_margin(params, batch) < 10 * step:
+            emb0, cache = network.forward(params, batch)
+            relu_margin = min(np.min(np.abs(z)) for z in cache["pre_acts"][:-1])
+            if relu_margin < 10 * step:
                 continue
-            if kind == "prototype":
-                fn, _ = _gradcheck_loss("prototype", rng, labels, n_s=1)
-            else:
-                emb0, _ = network.forward(params, batch)
-                a, p, n, _ = losses.mine_hard_triplets(emb0, labels)
-                dp = emb0[a] - emb0[p]
-                dn = emb0[a] - emb0[n]
-                pre = np.sum(dp * dp, 1) - np.sum(dn * dn, 1) + 0.5
-                if kind == "triplet_hinge" and np.any(np.abs(pre) < 1e-1):
-                    continue
-                _, factory = _gradcheck_loss("triplet", rng, labels, 1)
-                fn = factory(emb0, soft=(kind == "triplet_soft_margin"))
+            fn = _gradcheck_loss(kind, emb0, labels)
+            if fn is None:
+                continue
             err = network.gradient_check(fn, params, batch, step=step)
             worst = max(worst, err)
             done += 1

@@ -8,7 +8,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateGeometryWarning, EmptyClusteringError
+from .errors import (
+    ConfigError,
+    DegenerateGeometryWarning,
+    EmptyClusteringError,
+)
 
 NOISE = -1
 
@@ -23,11 +27,11 @@ class DbscanConfig:
 
     def validate(self):
         if self.ms < 1:
-            raise ValueError("ms must be >= 1")
+            raise ConfigError("ms must be >= 1")
         if self.p_count < 0:
-            raise ValueError("p_count must be >= 0")
+            raise ConfigError("p_count must be >= 0")
         if self.p_count == 0 and not (0 < self.p_fraction <= 1):
-            raise ValueError("p_fraction must lie in (0, 1]")
+            raise ConfigError("p_fraction must lie in (0, 1]")
 
     def resolve_p(self, n):
         n_pairs = n * (n - 1) // 2

@@ -6,7 +6,7 @@ into its run directory, so experiment records stay diffable.
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 
 import yaml
 
@@ -20,65 +20,11 @@ from .pipeline import TrainConfig
 
 
 def default_config():
-    return {
-        "rounds": 20,
-        "epochs_per_round": 50,
-        "episodes_per_round": 0,
-        "seed": 0,
-        "hidden_dims": [64, 64],
-        "embedding_dim": 16,
-        "knn_k": 20,
-        "reset_adam_each_round": False,
-        "eval_episodes": 100,
-        "optimizer": {
-            "learning_rate": 0.005,
-            "decay_factor": 0.1,
-            "decay_after_epoch": 25,
-            "beta1": 0.9,
-            "beta2": 0.999,
-            "epsilon_adam": 1e-8,
-        },
-        "dbscan": {
-            "ms": 4,
-            "p_fraction": 0.02,
-            "p_count": 0,
-            "epsilon_override": 0.0,
-            "per_point_minimum": False,
-        },
-        "episode": {
-            "n_c_train": 32,
-            "n_c_test": 5,
-            "n_e": 4,
-            "n_s": 1,
-            "n_q": 3,
-            "mode": "triplet",
-        },
-        "loss": {
-            "kind": "hard_triplet",
-            "margin": 0.5,
-        },
-        "synthetic": {
-            "kind": "blobs",
-            "num_classes": 20,
-            "points_per_class": 50,
-            "dim": 32,
-            "heldout_classes": 5,
-            "seed": 0,
-            "separation": 6.0,
-            "within_std": 1.0,
-            "noise_dims": 0,
-            "noise_std": 0.0,
-            "cone": 0.1,
-            "tight_classes": 5,
-            "tight_cone": 0.025,
-            "heldout_offset": 0.005,
-            "radius_min": 5.0,
-            "radius_ratio": 8.0,
-            "radial_noise": 0.005,
-            "heldout_radial_noise": 0.01,
-            "direction_candidates": 2000,
-        },
-    }
+    """Every config key at its default: the dataclass field values."""
+    cfg = dataclasses.asdict(TrainConfig())
+    cfg["hidden_dims"] = list(cfg["hidden_dims"])  # YAML has no tuples
+    cfg["synthetic"] = dataclasses.asdict(SyntheticSpec())
+    return cfg
 
 
 def _merge(base, incoming, prefix=""):
@@ -94,16 +40,45 @@ def _merge(base, incoming, prefix=""):
             base[key] = value
 
 
+def _check_types(value, default, path=""):
+    """Each value must have the type of its default.  An int may stand for
+    a float, but a bool is not an int."""
+    if isinstance(default, float) and type(value) is int:
+        return
+    if type(value) is not type(default):
+        raise ConfigError(f"{path!r} must be {type(default).__name__}, "
+                          f"not {value!r}")
+    if isinstance(default, dict):
+        for key in default:
+            _check_types(value[key], default[key],
+                         f"{path}.{key}" if path else key)
+    elif isinstance(default, list):
+        for i, item in enumerate(value):
+            _check_types(item, default[0], f"{path}[{i}]")
+
+
+def _parse_yaml(stream, where):
+    try:
+        return yaml.safe_load(stream)
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        mark = getattr(exc, "problem_mark", None)
+        at = (f" at line {mark.line + 1}, column {mark.column + 1}"
+              if mark else "")
+        problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+        raise ConfigError(f"{where}: invalid YAML{at}: {problem}") from exc
+
+
 def load_config(path=None, overrides=()):
     """Defaults, optionally updated from a YAML file and key=value pairs.
 
     Override values are parsed as YAML scalars so `dbscan.ms=4` yields an
-    int and `loss.kind=prototype` a string.  Unknown keys are errors.
+    int and `loss.kind=prototype` a string.  Unknown keys, malformed YAML
+    and values whose type differs from the default's are errors.
     """
     cfg = default_config()
     if path is not None:
         with open(path, "r", encoding="utf-8") as f:
-            loaded = yaml.safe_load(f) or {}
+            loaded = _parse_yaml(f, path) or {}
         if not isinstance(loaded, dict):
             raise ConfigError(f"{path}: top level must be a mapping")
         _merge(cfg, loaded)
@@ -111,18 +86,11 @@ def load_config(path=None, overrides=()):
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
         dotted, _, raw = item.partition("=")
-        node = cfg
-        parts = dotted.split(".")
-        for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
-                raise ConfigError(f"unknown config section {part!r} in {dotted!r}")
-            node = node[part]
-        leaf = parts[-1]
-        if leaf not in node:
-            raise ConfigError(f"unknown config key {dotted!r}")
-        if isinstance(node[leaf], dict):
-            raise ConfigError(f"{dotted!r} names a section, not a value")
-        node[leaf] = yaml.safe_load(raw)
+        value = _parse_yaml(raw, f"override {item!r}")
+        for part in reversed(dotted.split(".")):
+            value = {part: value}
+        _merge(cfg, value)
+    _check_types(cfg, default_config())
     return cfg
 
 
@@ -131,23 +99,16 @@ def dump_config(cfg, path):
         yaml.safe_dump(cfg, f, sort_keys=True, default_flow_style=None)
 
 
+_SECTIONS = {"optimizer": OptimizerConfig, "dbscan": DbscanConfig,
+             "episode": EpisodeConfig, "loss": LossConfig}
+
+
 def build_train_config(cfg):
-    cfg = copy.deepcopy(cfg)
-    tc = TrainConfig(
-        rounds=cfg["rounds"],
-        epochs_per_round=cfg["epochs_per_round"],
-        episodes_per_round=cfg["episodes_per_round"],
-        seed=cfg["seed"],
-        hidden_dims=tuple(cfg["hidden_dims"]),
-        embedding_dim=cfg["embedding_dim"],
-        knn_k=cfg["knn_k"],
-        reset_adam_each_round=cfg["reset_adam_each_round"],
-        eval_episodes=cfg["eval_episodes"],
-        optimizer=OptimizerConfig(**cfg["optimizer"]),
-        dbscan=DbscanConfig(**cfg["dbscan"]),
-        episode=EpisodeConfig(**cfg["episode"]),
-        loss=LossConfig(**cfg["loss"]),
-    )
+    """Validated TrainConfig from every config key but `synthetic`."""
+    kwargs = {key: value for key, value in cfg.items() if key != "synthetic"}
+    kwargs.update((name, cls(**cfg[name])) for name, cls in _SECTIONS.items())
+    kwargs["hidden_dims"] = tuple(cfg["hidden_dims"])
+    tc = TrainConfig(**kwargs)
     tc.validate()
     return tc
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DatasetParseError, InputError
+from .errors import ConfigError, DatasetParseError, InputError
 
 RAW64_MAGIC = b"UFLSTD\0\0"
 IDX_UBYTE = 0x08
@@ -69,26 +69,26 @@ class SyntheticSpec:
 
     def validate(self):
         if self.kind not in ("blobs", "rays"):
-            raise ValueError(f"unknown synthetic kind {self.kind!r}")
+            raise ConfigError(f"unknown synthetic kind {self.kind!r}")
         if self.num_classes < 1 or self.points_per_class < 1 or self.dim < 1:
-            raise ValueError("class/point/dim counts must be positive")
+            raise ConfigError("class/point/dim counts must be positive")
         if self.kind == "blobs":
             if self.noise_dims < 0 or self.noise_dims >= self.dim:
-                raise ValueError("noise_dims must lie in [0, dim)")
+                raise ConfigError("noise_dims must lie in [0, dim)")
             if self.separation < 0 or self.within_std < 0 or self.noise_std < 0:
-                raise ValueError("scales must be nonnegative")
+                raise ConfigError("scales must be nonnegative")
             return
         if not (0 < self.tight_classes <= self.num_classes):
-            raise ValueError("tight_classes must lie in (0, num_classes]")
+            raise ConfigError("tight_classes must lie in (0, num_classes]")
         if self.heldout_classes != self.tight_classes:
-            raise ValueError("rays pin one heldout class to each tight ray")
+            raise ConfigError("rays pin one heldout class to each tight ray")
         if self.radius_min <= 0 or self.radius_ratio < 1:
-            raise ValueError("radius_min must be positive, radius_ratio >= 1")
+            raise ConfigError("radius_min must be positive, radius_ratio >= 1")
         if min(self.cone, self.tight_cone, self.heldout_offset,
                self.radial_noise, self.heldout_radial_noise) < 0:
-            raise ValueError("angular and noise scales must be nonnegative")
+            raise ConfigError("angular and noise scales must be nonnegative")
         if self.direction_candidates < self.num_classes:
-            raise ValueError("direction_candidates must cover num_classes")
+            raise ConfigError("direction_candidates must cover num_classes")
 
 
 def generate_synthetic(spec):

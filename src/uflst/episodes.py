@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolationError, EpisodeInfeasibleError
+from .errors import ConfigError, ContractViolationError, EpisodeInfeasibleError
 
 PROTOTYPE = "prototype"
 TRIPLET = "triplet"
@@ -28,17 +28,17 @@ class EpisodeConfig:
 
     def validate(self):
         if self.n_c_train < 2 or self.n_c_test < 2:
-            raise ValueError("need at least 2 ways for train and test")
+            raise ConfigError("need at least 2 ways for train and test")
         if self.mode == PROTOTYPE:
             if self.n_s < 1 or self.n_q < 1:
-                raise ValueError("prototype mode needs n_s >= 1 and n_q >= 1")
+                raise ConfigError("prototype mode needs n_s >= 1 and n_q >= 1")
             if self.n_e != self.n_s + self.n_q:
-                raise ValueError("prototype mode requires n_e = n_s + n_q")
+                raise ConfigError("prototype mode requires n_e = n_s + n_q")
         elif self.mode == TRIPLET:
             if self.n_e < 2:
-                raise ValueError("triplet mode needs n_e >= 2 for positive pairs")
+                raise ConfigError("triplet mode needs n_e >= 2 for positive pairs")
         else:
-            raise ValueError(f"unknown episode mode {self.mode!r}")
+            raise ConfigError(f"unknown episode mode {self.mode!r}")
 
     @property
     def batch_size(self):
@@ -46,14 +46,9 @@ class EpisodeConfig:
 
 
 def hard_triplet_preset():
-    """32 classes x 4 examples per episode, 5-way 1-shot test protocol."""
-    return EpisodeConfig(n_c_train=32, n_c_test=5, n_e=4, mode=TRIPLET)
-
-
-def prototype_preset():
-    """Higher training way, same shot count as the test protocol."""
-    return EpisodeConfig(n_c_train=60, n_c_test=5, n_e=4, n_s=1, n_q=3,
-                         mode=PROTOTYPE)
+    """32 classes x 4 examples per episode, 5-way 1-shot test protocol:
+    the EpisodeConfig defaults."""
+    return EpisodeConfig()
 
 
 @dataclass

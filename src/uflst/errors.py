@@ -45,8 +45,9 @@ class CheckpointFormatError(UflstError):
     """A checkpoint file has bad magic, version, or is truncated."""
 
 
-class ConfigError(UflstError):
-    """A config file or override references an unknown or invalid key."""
+class ConfigError(UflstError, ValueError):
+    """A config file or override is malformed, names an unknown key, or
+    holds a value of the wrong type or out of range."""
 
 
 class DegenerateGeometryWarning(UserWarning):

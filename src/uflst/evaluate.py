@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import network
+from . import metric, network
 from .errors import InputError, ProtocolInfeasibleError
 
 
@@ -64,10 +64,7 @@ def nearest_prototype_predict(support_emb, support_labels, query_emb):
     protos = np.stack([
         support_emb[support_labels == c].mean(axis=0) for c in classes
     ])
-    d = (np.sum(query_emb * query_emb, axis=1)[:, None]
-         + np.sum(protos * protos, axis=1)[None, :]
-         - 2.0 * query_emb @ protos.T)
-    return classes[np.argmin(d, axis=1)]
+    return classes[np.argmin(metric.sq_distances(query_emb, protos), axis=1)]
 
 
 def few_shot_accuracy(params, features, labels, protocol, episodes, rng,

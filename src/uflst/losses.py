@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, InputError
+from . import metric
+from .errors import ConfigError, ContractViolationError, InputError
 
 PROTOTYPE_KIND = "prototype"
 TRIPLET_KIND = "triplet"
@@ -26,9 +27,9 @@ class LossConfig:
 
     def validate(self):
         if self.kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {self.kind!r}")
+            raise ConfigError(f"unknown loss kind {self.kind!r}")
         if self.margin < 0:
-            raise ValueError("margin must be nonnegative")
+            raise ConfigError("margin must be nonnegative")
 
 
 def prototype_loss(emb, labels, support_mask):
@@ -88,7 +89,8 @@ def prototype_loss(emb, labels, support_mask):
     return loss, grad
 
 
-def _triplet_pre_activation(anchor, positive, negative, margin):
+def triplet_pre_activation(anchor, positive, negative, margin):
+    """(a - p, a - n, d(a,p) - d(a,n) + m) per triplet row."""
     anchor = np.atleast_2d(np.asarray(anchor, dtype=np.float64))
     positive = np.atleast_2d(np.asarray(positive, dtype=np.float64))
     negative = np.atleast_2d(np.asarray(negative, dtype=np.float64))
@@ -98,7 +100,7 @@ def _triplet_pre_activation(anchor, positive, negative, margin):
     dp = anchor - positive
     dn = anchor - negative
     pre = np.sum(dp * dp, axis=1) - np.sum(dn * dn, axis=1) + margin
-    return anchor, dp, dn, pre
+    return dp, dn, pre
 
 
 def triplet_hinge_loss(anchor, positive, negative, margin):
@@ -107,7 +109,7 @@ def triplet_hinge_loss(anchor, positive, negative, margin):
     The inactive region (including the kink itself) contributes zero
     gradient.
     """
-    _, dp, dn, pre = _triplet_pre_activation(anchor, positive, negative, margin)
+    dp, dn, pre = triplet_pre_activation(anchor, positive, negative, margin)
     t = pre.shape[0]
     active = pre > 0
     loss = float(np.sum(pre[active]) / t) if np.any(active) else 0.0
@@ -120,7 +122,7 @@ def triplet_hinge_loss(anchor, positive, negative, margin):
 
 def triplet_soft_margin_loss(anchor, positive, negative, margin):
     """log(1 + exp(pre-activation)), overflow-safe in both directions."""
-    _, dp, dn, pre = _triplet_pre_activation(anchor, positive, negative, margin)
+    dp, dn, pre = triplet_pre_activation(anchor, positive, negative, margin)
     t = pre.shape[0]
     loss = float(np.mean(np.logaddexp(0.0, pre)))
     sigma = 0.5 * (1.0 + np.tanh(0.5 * pre))
@@ -148,9 +150,7 @@ def mine_hard_triplets(emb, labels):
     labels = np.asarray(labels, dtype=np.int64)
     if np.unique(labels).size < 2:
         raise ContractViolationError("hard mining needs at least 2 classes")
-    sq = np.sum(emb * emb, axis=1)
-    dist = sq[:, None] + sq[None, :] - 2.0 * (emb @ emb.T)
-    np.maximum(dist, 0.0, out=dist)
+    dist = metric.sq_distances(emb, emb)
     same = labels[:, None] == labels[None, :]
     n = emb.shape[0]
     anchors, positives, negatives = [], [], []
@@ -225,11 +225,15 @@ def episode_loss(task, emb, cfg, rng=None):
         if rng is None:
             raise ContractViolationError("random triplet construction needs an rng")
         a, p, n = random_triplets(labels, rng)
-    if cfg.kind == SOFT_MARGIN_KIND:
-        loss, (ga, gp, gn) = triplet_soft_margin_loss(emb[a], emb[p], emb[n],
-                                                      cfg.margin)
-    else:
-        loss, (ga, gp, gn) = triplet_hinge_loss(emb[a], emb[p], emb[n], cfg.margin)
+    fn = (triplet_soft_margin_loss if cfg.kind == SOFT_MARGIN_KIND
+          else triplet_hinge_loss)
+    return indexed_triplet_loss(fn, emb, a, p, n, cfg.margin)
+
+
+def indexed_triplet_loss(fn, emb, a, p, n, margin):
+    """A triplet loss `fn` over index triplets into `emb`, with the per-role
+    gradients scattered back onto the rows of `emb`."""
+    loss, (ga, gp, gn) = fn(emb[a], emb[p], emb[n], margin)
     grad = np.zeros_like(emb)
     np.add.at(grad, a, ga)
     np.add.at(grad, p, gp)

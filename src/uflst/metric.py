@@ -7,7 +7,6 @@ mutual-nearest-neighbor sets overlap heavily.
 
 from __future__ import annotations
 
-import struct
 import warnings
 from dataclasses import dataclass
 
@@ -15,20 +14,19 @@ import numpy as np
 
 from .errors import DegenerateGeometryWarning, InputError
 
-JACCARD_DUMP_MAGIC = b"UFLSTJ\0\0"
-
-
-@dataclass
-class NeighborSets:
-    k: int
-    knn: list        # per point: ordered array of neighbor indices
-    reciprocal: list # per point: sorted array of mutual neighbors
-
-
 @dataclass
 class JaccardMatrix:
     values: np.ndarray
     k_used: int
+
+
+def sq_distances(a, b):
+    """Squared Euclidean distance between every row of `a` and every row of
+    `b`, clamped at 0 against cancellation."""
+    dist = (np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
+            - 2.0 * (a @ b.T))
+    np.maximum(dist, 0.0, out=dist)
+    return dist
 
 
 def pairwise_sq_euclidean(values):
@@ -36,9 +34,7 @@ def pairwise_sq_euclidean(values):
     values = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(values)):
         raise InputError("embeddings contain non-finite values")
-    sq = np.sum(values * values, axis=1)
-    dist = sq[:, None] + sq[None, :] - 2.0 * (values @ values.T)
-    np.maximum(dist, 0.0, out=dist)
+    dist = sq_distances(values, values)
     dist = 0.5 * (dist + dist.T)
     np.fill_diagonal(dist, 0.0)
     return dist
@@ -107,22 +103,3 @@ def build_jaccard(embeddings, k):
     knn = knn_sets(dist, k)
     reciprocal = k_reciprocal_sets(knn)
     return jaccard_matrix(reciprocal, k_used=min(k, len(knn) - 1))
-
-
-def dump_jaccard(path, jm):
-    """Row-major little-endian f64 dump with an (N, k) header."""
-    n = jm.values.shape[0]
-    with open(path, "wb") as f:
-        f.write(JACCARD_DUMP_MAGIC)
-        f.write(struct.pack("<II", n, jm.k_used))
-        f.write(jm.values.astype("<f8").tobytes())
-
-
-def load_jaccard(path):
-    with open(path, "rb") as f:
-        magic = f.read(len(JACCARD_DUMP_MAGIC))
-        if magic != JACCARD_DUMP_MAGIC:
-            raise InputError(f"bad Jaccard dump magic {magic!r}")
-        n, k = struct.unpack("<II", f.read(8))
-        values = np.frombuffer(f.read(8 * n * n), dtype="<f8").reshape(n, n)
-    return JaccardMatrix(values=values.astype(np.float64), k_used=k)

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     CheckpointFormatError,
+    ConfigError,
     ContractViolationError,
     InfeasibleCheckError,
     InputError,
@@ -23,8 +24,6 @@ from .errors import (
 
 CHECKPOINT_MAGIC = b"UFLST\0"
 CHECKPOINT_VERSION = 1
-
-ACTIVATIONS = ("relu", "linear")
 
 
 @dataclass
@@ -38,7 +37,6 @@ class AdamState:
 class ModelParams:
     weights: list  # per layer: (out_dim, in_dim) float64
     biases: list   # per layer: (out_dim,) float64
-    activation: str = "relu"
     adam: AdamState = field(default=None)
 
     @property
@@ -51,7 +49,6 @@ class ModelParams:
         return ModelParams(
             weights=[w.copy() for w in self.weights],
             biases=[b.copy() for b in self.biases],
-            activation=self.activation,
             adam=AdamState(
                 m=[(mw.copy(), mb.copy()) for mw, mb in self.adam.m],
                 v=[(vw.copy(), vb.copy()) for vw, vb in self.adam.v],
@@ -71,11 +68,11 @@ class OptimizerConfig:
 
     def validate(self):
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+            raise ConfigError("learning_rate must be positive")
         if not (0 < self.decay_factor <= 1):
-            raise ValueError("decay_factor must lie in (0, 1]")
+            raise ConfigError("decay_factor must lie in (0, 1]")
         if self.decay_after_epoch < 1:
-            raise ValueError("decay_after_epoch must be a positive integer")
+            raise ConfigError("decay_after_epoch must be a positive integer")
 
     def effective_lr(self, epoch):
         """Step size for a given 1-based epoch: a single multiplicative drop
@@ -85,7 +82,7 @@ class OptimizerConfig:
         return self.learning_rate
 
 
-def init_params(layer_dims, seed, activation="relu"):
+def init_params(layer_dims, seed):
     """Fan-in-scaled uniform weights, zero biases, zeroed Adam state.
 
     Weights are U(-sqrt(3/fan_in), sqrt(3/fan_in)), i.e. std exactly
@@ -95,8 +92,6 @@ def init_params(layer_dims, seed, activation="relu"):
         raise InvalidArchitectureError("need at least an input and an output dim")
     if any(d <= 0 for d in layer_dims):
         raise InvalidArchitectureError(f"zero or negative layer dim in {layer_dims}")
-    if activation not in ACTIVATIONS:
-        raise InvalidArchitectureError(f"unknown activation {activation!r}")
     rng = np.random.default_rng(seed)
     weights, biases, m, v = [], [], [], []
     for d_in, d_out in zip(layer_dims[:-1], layer_dims[1:]):
@@ -107,15 +102,15 @@ def init_params(layer_dims, seed, activation="relu"):
         biases.append(b)
         m.append((np.zeros_like(W), np.zeros_like(b)))
         v.append((np.zeros_like(W), np.zeros_like(b)))
-    return ModelParams(weights, biases, activation, AdamState(m, v, 0))
+    return ModelParams(weights, biases, AdamState(m, v, 0))
 
 
 def forward(params, batch):
     """Run the encoder on a (B, D_in) batch.
 
     Returns (embeddings, cache).  The cache holds the layer inputs and
-    pre-activations needed by backward().  Hidden layers apply the
-    configured nonlinearity; the final layer is linear.
+    pre-activations needed by backward().  Hidden layers apply relu; the
+    final layer is linear.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != params.weights[0].shape[1]:
@@ -133,7 +128,7 @@ def forward(params, batch):
         layer_inputs.append(h)
         z = h @ W.T + b
         pre_acts.append(z)
-        if l < n_layers - 1 and params.activation == "relu":
+        if l < n_layers - 1:
             h = np.maximum(z, 0.0)
         else:
             h = z
@@ -157,7 +152,7 @@ def backward(params, cache, output_grad):
     grads = [None] * n_layers
     delta = output_grad
     for l in range(n_layers - 1, -1, -1):
-        if l < n_layers - 1 and params.activation == "relu":
+        if l < n_layers - 1:
             delta = delta * (cache["pre_acts"][l] > 0)
         x = cache["inputs"][l]
         dW = delta.T @ x
@@ -195,12 +190,6 @@ def adam_step(params, grads, config, epoch):
         params.weights[l] -= lr * (mW / corr1) / (np.sqrt(vW / corr2) + eps)
         params.biases[l] -= lr * (mb / corr1) / (np.sqrt(vb / corr2) + eps)
     return params
-
-
-def flatten_params(params):
-    return np.concatenate(
-        [w.ravel() for w in params.weights] + [b.ravel() for b in params.biases]
-    )
 
 
 def gradient_check(loss_fn, params, batch, step=4e-3):
@@ -255,13 +244,8 @@ def gradient_check(loss_fn, params, batch, step=4e-3):
     return max_err
 
 
-def save_params(path, params):
-    """Versioned binary checkpoint of weights, biases and Adam state."""
-    with open(path, "wb") as f:
-        write_params(f, params)
-
-
 def write_params(f, params):
+    """Versioned binary checkpoint of weights, biases and Adam state."""
     f.write(CHECKPOINT_MAGIC)
     f.write(struct.pack("<I", CHECKPOINT_VERSION))
     f.write(struct.pack("<I", len(params.weights)))
@@ -286,12 +270,7 @@ def _read_exact(f, n, what):
     return data
 
 
-def load_params(path, activation="relu"):
-    with open(path, "rb") as f:
-        return read_params(f, activation)
-
-
-def read_params(f, activation="relu"):
+def read_params(f):
     magic = f.read(len(CHECKPOINT_MAGIC))
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointFormatError(f"bad magic bytes {magic!r}")
@@ -322,4 +301,4 @@ def read_params(f, activation="relu"):
         m.append((mW, mb))
         v.append((vW, vb))
     (step,) = struct.unpack("<Q", _read_exact(f, 8, "step counter"))
-    return ModelParams(weights, biases, activation, AdamState(m, v, step))
+    return ModelParams(weights, biases, AdamState(m, v, step))

@@ -19,8 +19,8 @@ import numpy as np
 from . import cluster, data, episodes, evaluate, losses, metric, network
 from .errors import (
     CheckpointFormatError,
+    ConfigError,
     EmptyClusteringError,
-    EpisodeInfeasibleError,
     RoundFailedError,
 )
 
@@ -45,9 +45,9 @@ class TrainConfig:
 
     def validate(self):
         if self.rounds < 1 or self.epochs_per_round < 1:
-            raise ValueError("rounds and epochs_per_round must be >= 1")
+            raise ConfigError("rounds and epochs_per_round must be >= 1")
         if self.knn_k < 1 or self.embedding_dim < 1:
-            raise ValueError("knn_k and embedding_dim must be >= 1")
+            raise ConfigError("knn_k and embedding_dim must be >= 1")
         self.optimizer.validate()
         self.dbscan.validate()
         self.episode.validate()
@@ -72,7 +72,6 @@ class RoundState:
     round: int
     params: network.ModelParams
     history: list
-    pseudo: cluster.PseudoLabeledSet = None
 
 
 @dataclass
@@ -261,7 +260,7 @@ def run_training(config, dataset, eval_dataset=None, run_dir=None,
             data.write_metrics(history, os.path.join(run_dir, "metrics.csv"))
             save_checkpoint(
                 os.path.join(run_dir, "checkpoints", f"round_{t:04d}.ckpt"),
-                RoundState(round=t, params=params, history=history, pseudo=pl),
+                RoundState(round=t, params=params, history=history),
             )
 
     if run_dir and status == "completed":

@@ -1,5 +1,7 @@
 import csv
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -113,6 +115,36 @@ class TestErrors:
         rc = run_cli(["train", "--data", str(tmp_path / "nodata"),
                       "--run-dir", str(tmp_path / "run")])
         assert rc == 1
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("command, override", [
+        ("train", "optimizer.learning_rate=-1"),
+        ("train", "rounds=abc"),
+        ("synth", "synthetic.dim=abc"),
+        ("synth", "synthetic.dim=["),
+        ("synth", None),   # malformed --config file
+    ])
+    def test_exits_1_with_one_error_line(self, tmp_path, command, override):
+        args = {"train": ["--data", str(tmp_path), "--run-dir",
+                          str(tmp_path / "run")],
+                "synth": ["--out", str(tmp_path / "out")]}[command]
+        if override is None:
+            bad = tmp_path / "bad.yaml"
+            bad.write_text("rounds: [3\n")
+            args += ["--config", str(bad)]
+        else:
+            args.append(override)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "uflst.cli", command, *args],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("uflst: error:")
 
 
 class TestGradcheckCommand:

@@ -2,10 +2,17 @@ import pytest
 import yaml
 
 from uflst import config as config_mod
+from uflst.data import SyntheticSpec
 from uflst.errors import ConfigError
+from uflst.pipeline import TrainConfig
 
 
 class TestLoadConfig:
+    def test_defaults_are_the_dataclass_defaults(self):
+        cfg = config_mod.load_config()
+        assert config_mod.build_train_config(cfg) == TrainConfig()
+        assert config_mod.build_synthetic_spec(cfg) == SyntheticSpec()
+
     def test_defaults_validate(self):
         cfg = config_mod.load_config()
         tc = config_mod.build_train_config(cfg)
@@ -73,3 +80,26 @@ class TestLoadConfig:
         cfg = config_mod.load_config(overrides=["optimizer.learning_rate=-1"])
         with pytest.raises(ValueError):
             config_mod.build_train_config(cfg)
+
+    @pytest.mark.parametrize("override", [
+        "rounds=abc", "rounds=true", "rounds=2.5", "synthetic.dim=abc",
+        "loss.kind=3", "hidden_dims=[8, x]", "rounds.x=1", "synthetic.dim=[",
+    ])
+    def test_bad_values_raise_config_error(self, override):
+        with pytest.raises(ConfigError):
+            config_mod.load_config(overrides=[override])
+
+    def test_int_stands_for_float(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_text("optimizer:\n  learning_rate: 1\n")
+        cfg = config_mod.load_config(
+            str(path), overrides=["dbscan.p_fraction=1", "optimizer.beta1=0.5"])
+        assert cfg["dbscan"]["p_fraction"] == 1
+        assert cfg["optimizer"]["learning_rate"] == 1
+        assert cfg["optimizer"]["beta1"] == 0.5
+
+    def test_malformed_yaml_file(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_text("rounds: [3\n")
+        with pytest.raises(ConfigError, match="invalid YAML"):
+            config_mod.load_config(str(path))

@@ -24,10 +24,6 @@ class TestConfig:
         cfg.validate()
         assert cfg.batch_size == 128
         assert (cfg.n_c_train, cfg.n_e, cfg.n_c_test) == (32, 4, 5)
-        cfg = episodes.prototype_preset()
-        cfg.validate()
-        assert cfg.n_c_train == 60
-        assert cfg.n_e == cfg.n_s + cfg.n_q
 
     def test_prototype_split_must_add_up(self):
         cfg = episodes.EpisodeConfig(n_e=4, n_s=2, n_q=3, mode=episodes.PROTOTYPE)

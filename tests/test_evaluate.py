@@ -93,7 +93,7 @@ class TestNearestPrototype:
 
 class TestFewShotAccuracy:
     def identity_params(self, d):
-        p = network.init_params([d, d], seed=0, activation="linear")
+        p = network.init_params([d, d], seed=0)
         p.weights[0] = np.eye(d)
         p.biases[0] = np.zeros(d)
         return p

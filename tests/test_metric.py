@@ -181,20 +181,3 @@ class TestJaccard:
         a = metric.build_jaccard(points, 5).values
         b = metric.build_jaccard(points[perm], 5).values
         assert np.allclose(a[np.ix_(perm, perm)], b, atol=1e-12)
-
-
-class TestDump:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(8)
-        jm = metric.build_jaccard(rng.normal(size=(15, 3)), 4)
-        path = tmp_path / "jaccard.bin"
-        metric.dump_jaccard(path, jm)
-        loaded = metric.load_jaccard(path)
-        assert loaded.k_used == jm.k_used
-        assert np.array_equal(loaded.values, jm.values)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "jaccard.bin"
-        path.write_bytes(b"NOTMAGIC" + b"\0" * 16)
-        with pytest.raises(InputError):
-            metric.load_jaccard(path)

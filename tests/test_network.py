@@ -59,7 +59,7 @@ class TestInit:
 
 class TestForward:
     def test_identity_layer(self):
-        p = network.init_params([3, 3], seed=0, activation="linear")
+        p = network.init_params([3, 3], seed=0)
         p.weights[0] = np.eye(3)
         p.biases[0] = np.zeros(3)
         x = np.random.default_rng(0).normal(size=(5, 3))
@@ -103,7 +103,7 @@ class TestBackward:
 
     def test_linear_layer_sum_loss(self):
         # loss = sum of outputs -> dW[j, i] = sum_b x[b, i], db[j] = B
-        p = network.init_params([4, 3], seed=2, activation="linear")
+        p = network.init_params([4, 3], seed=2)
         x = np.random.default_rng(2).normal(size=(6, 4))
         _, cache = network.forward(p, x)
         grads, _ = network.backward(p, cache, np.ones((6, 3)))
@@ -163,7 +163,7 @@ class TestAdam:
         grads = [(np.zeros((2, 3)), np.zeros(2))]
         network.adam_step(p, grads, network.OptimizerConfig(), epoch=1)
         assert params_equal(
-            network.ModelParams(p.weights, p.biases, p.activation, before.adam),
+            network.ModelParams(p.weights, p.biases, before.adam),
             before,
         ) or np.allclose(p.weights[0], before.weights[0])
         assert np.array_equal(p.weights[0], before.weights[0])
@@ -237,7 +237,7 @@ class TestAdam:
 
 class TestGradientCheck:
     def test_linear_squared_norm(self):
-        p = network.init_params([4, 3], seed=20, activation="linear")
+        p = network.init_params([4, 3], seed=20)
         x = np.random.default_rng(20).normal(size=(5, 4))
 
         def loss_fn(emb):
@@ -300,29 +300,34 @@ class TestCheckpoint:
         grads, _ = network.backward(p, cache, emb)
         network.adam_step(p, grads, network.OptimizerConfig(), epoch=1)
         path = tmp_path / "model.ckpt"
-        network.save_params(path, p)
-        loaded = network.load_params(path)
+        with open(path, "wb") as f:
+            network.write_params(f, p)
+        with open(path, "rb") as f:
+            loaded = network.read_params(f)
         assert params_equal(p, loaded)
         # a second save must produce identical bytes
         path2 = tmp_path / "model2.ckpt"
-        network.save_params(path2, loaded)
+        with open(path2, "wb") as f:
+            network.write_params(f, loaded)
         assert path.read_bytes() == path2.read_bytes()
 
     def test_bad_magic(self, tmp_path):
         p = network.init_params([4, 3], seed=31)
         path = tmp_path / "model.ckpt"
-        network.save_params(path, p)
+        with open(path, "wb") as f:
+            network.write_params(f, p)
         blob = bytearray(path.read_bytes())
         blob[0] ^= 0xFF
         path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointFormatError):
-            network.load_params(path)
+        with open(path, "rb") as f, pytest.raises(CheckpointFormatError):
+            network.read_params(f)
 
     def test_truncated(self, tmp_path):
         p = network.init_params([4, 3], seed=32)
         path = tmp_path / "model.ckpt"
-        network.save_params(path, p)
+        with open(path, "wb") as f:
+            network.write_params(f, p)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
-        with pytest.raises(CheckpointFormatError):
-            network.load_params(path)
+        with open(path, "rb") as f, pytest.raises(CheckpointFormatError):
+            network.read_params(f)

@@ -269,11 +269,26 @@ class TestCheckpointState:
         assert math.isnan(state.history[0].accuracy_mean)
         assert state.history[1].mean_loss == 0.9
 
+    def test_multi_layer_reload_embeds_identically(self, tmp_path):
+        p = network.init_params([5, 8, 8, 3], seed=4)
+        x = np.random.default_rng(4).normal(size=(7, 5))
+        emb, cache = network.forward(p, x)
+        grads, _ = network.backward(p, cache, emb)
+        network.adam_step(p, grads, network.OptimizerConfig(), epoch=1)
+        path = tmp_path / "state.ckpt"
+        pipeline.save_checkpoint(
+            str(path), pipeline.RoundState(round=1, params=p, history=[])
+        )
+        loaded = pipeline.load_checkpoint(str(path)).params
+        assert np.array_equal(network.forward(loaded, x)[0],
+                              network.forward(p, x)[0])
+
     def test_plain_model_checkpoint_loads(self, tmp_path):
         # a bare model file (no trailer) is accepted with round 0
         p = network.init_params([4, 3], seed=2)
         path = tmp_path / "model.ckpt"
-        network.save_params(str(path), p)
+        with open(path, "wb") as f:
+            network.write_params(f, p)
         state = pipeline.load_checkpoint(str(path))
         assert state.round == 0 and state.history == []
 
