@@ -23,7 +23,7 @@ import numpy as np
 
 from . import config as config_mod
 from . import data, evaluate, losses, network, pipeline
-from .errors import UflstError
+from .errors import DatasetParseError, UflstError
 
 log = logging.getLogger("uflst")
 
@@ -34,14 +34,39 @@ def _add_common(parser):
                         help="dotted config overrides")
 
 
-def _load_dataset_dir(path, split):
+def _load_labels(path, n):
+    """The labels of an `index,label` CSV with a header and then one row per
+    feature row, in order."""
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))[1:]
+    except UnicodeDecodeError as exc:
+        raise DatasetParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    if len(rows) != n:
+        raise DatasetParseError(f"{path}: line {min(len(rows), n) + 2}: "
+                                f"{len(rows)} label rows for {n} feature rows")
+    labels = np.empty(n, dtype=np.int64)
+    for i, row in enumerate(rows):
+        try:
+            index, labels[i] = (int(v) for v in row)
+        except ValueError:
+            index = None
+        if index != i:
+            raise DatasetParseError(f"{path}: line {i + 2}: expected "
+                                    f"'{i},<integer label>', got {row}")
+    return labels
+
+
+def _load_dataset_dir(path, split, need_labels=False):
     features_path = os.path.join(path, f"{split}.raw64")
     ds = data.load_matrix_dataset(features_path, "raw64", split=split)
     labels_path = os.path.join(path, f"{split}.labels.csv")
     if os.path.exists(labels_path):
-        with open(labels_path, newline="") as f:
-            rows = list(csv.reader(f))
-        ds.labels = np.array([int(r[1]) for r in rows[1:]], dtype=np.int64)
+        ds.labels = _load_labels(labels_path, ds.n)
+    elif need_labels:
+        raise DatasetParseError(
+            f"{labels_path}: not found; few-shot evaluation needs labels"
+        )
     return ds
 
 
@@ -56,6 +81,7 @@ def _setup_run_dir(run_dir, cfg):
     handler.setFormatter(logging.Formatter("%(asctime)s %(levelname)s %(message)s"))
     log.addHandler(handler)
     log.setLevel(logging.INFO)
+    return handler
 
 
 def cmd_train(args):
@@ -63,13 +89,18 @@ def cmd_train(args):
     train_cfg = config_mod.build_train_config(cfg)
     train_ds = _load_dataset_dir(args.data, "train")
     eval_ds = None
-    if os.path.exists(os.path.join(args.data, "test.raw64")):
-        eval_ds = _load_dataset_dir(args.data, "test")
-    _setup_run_dir(args.run_dir, cfg)
-    result = pipeline.run_training(
-        train_cfg, train_ds, eval_dataset=eval_ds, run_dir=args.run_dir,
-        resume_from=args.resume,
-    )
+    if (train_cfg.eval_episodes > 0
+            and os.path.exists(os.path.join(args.data, "test.raw64"))):
+        eval_ds = _load_dataset_dir(args.data, "test", need_labels=True)
+    handler = _setup_run_dir(args.run_dir, cfg)
+    try:
+        result = pipeline.run_training(
+            train_cfg, train_ds, eval_dataset=eval_ds, run_dir=args.run_dir,
+            resume_from=args.resume,
+        )
+    finally:
+        log.removeHandler(handler)
+        handler.close()
     if result.status != "completed":
         print(f"train: run aborted after round "
               f"{result.round_infos[-1].round if result.round_infos else 0}; "
@@ -101,9 +132,7 @@ def cmd_eval(args):
     cfg = config_mod.load_config(args.config, args.overrides)
     train_cfg = config_mod.build_train_config(cfg)
     params = pipeline.load_checkpoint(args.checkpoint).params
-    test_ds = _load_dataset_dir(args.data, "test")
-    if test_ds.labels is None:
-        raise UflstError(f"no ground-truth labels found for {args.data}")
+    test_ds = _load_dataset_dir(args.data, "test", need_labels=True)
     rng = np.random.default_rng(args.seed)
     mean, std = evaluate.few_shot_accuracy(
         params, test_ds.features, test_ds.labels, train_cfg.episode,
@@ -118,17 +147,13 @@ def cmd_eval(args):
 GRADCHECK_KINDS = ("prototype", "triplet_hinge", "triplet_soft_margin")
 
 
-def _gradcheck_loss(kind, emb0, labels):
+def _gradcheck_loss(kind, emb0, labels, support_mask):
     """The loss as a fixed function of the embeddings, or None when a hinge
     sits too close to its kink at `emb0`.
 
-    Prototype support is the first row of each class; triplets are mined
-    once, at `emb0`, and then held fixed.
+    Triplets are mined once, at `emb0`, and then held fixed.
     """
     if kind == "prototype":
-        support_mask = np.zeros(labels.size, dtype=bool)
-        for c in np.unique(labels):
-            support_mask[np.flatnonzero(labels == c)[0]] = True
         return lambda emb: losses.prototype_loss(emb, labels, support_mask)
     a, p, n, _ = losses.mine_hard_triplets(emb0, labels)
     if kind == "triplet_hinge":
@@ -159,12 +184,12 @@ def run_gradient_suite(seed=0, trials=5, tol=1e-4, step=4e-3):
             params = network.init_params([5, 8, 7, 4],
                                          seed=1000 * attempt + seed + 1)
             batch = rng.normal(size=(9, 5))
-            labels = np.repeat(np.arange(3), 3)
+            labels, support_mask = losses.episode_layout(3, 3, 1)
             emb0, cache = network.forward(params, batch)
             relu_margin = min(np.min(np.abs(z)) for z in cache["pre_acts"][:-1])
             if relu_margin < 10 * step:
                 continue
-            fn = _gradcheck_loss(kind, emb0, labels)
+            fn = _gradcheck_loss(kind, emb0, labels, support_mask)
             if fn is None:
                 continue
             err = network.gradient_check(fn, params, batch, step=step)

@@ -1,17 +1,17 @@
 """Episode construction from a pseudo-labeled set.
 
-An episode samples n_c pseudo-classes and n_e examples per class; in
-prototype mode the per-class examples are further split positionally into
-support and query halves.
+An episode samples n_c pseudo-classes and n_e examples per class and is
+held as one (n_c, n_e) array of dataset indices; in prototype mode the
+first n_s columns are the support and the other n_q the query.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolationError, EpisodeInfeasibleError
+from .errors import ConfigError, EpisodeInfeasibleError
 
 PROTOTYPE = "prototype"
 TRIPLET = "triplet"
@@ -40,10 +40,6 @@ class EpisodeConfig:
         else:
             raise ConfigError(f"unknown episode mode {self.mode!r}")
 
-    @property
-    def batch_size(self):
-        return self.n_c_train * self.n_e
-
 
 def hard_triplet_preset():
     """32 classes x 4 examples per episode, 5-way 1-shot test protocol:
@@ -51,61 +47,20 @@ def hard_triplet_preset():
     return EpisodeConfig()
 
 
-@dataclass
-class EpisodicTask:
-    class_ids: np.ndarray     # sampled pseudo-labels, length n_c
-    example_indices: list     # per class: n_e original dataset indices
-    support: list = field(default=None)  # per class, prototype mode only
-    query: list = field(default=None)
-
-    def flat_indices(self):
-        return np.concatenate(self.example_indices)
+def eligible_members(members, n_e):
+    """The member arrays, in order, of the classes with at least n_e members."""
+    return [m for m in members if m.size >= n_e]
 
 
-@dataclass
-class FeasibilityReport:
-    eligible_classes: np.ndarray
-    feasible: bool
-
-
-def check_feasibility(pl, cfg, n_c=None):
-    """Classes with at least n_e members, and whether n_c of them exist."""
-    n_c = cfg.n_c_train if n_c is None else n_c
-    eligible = np.array(
-        [c for c in range(pl.num_clusters) if pl.class_members[c].size >= cfg.n_e],
-        dtype=np.int64,
-    )
-    return FeasibilityReport(eligible_classes=eligible,
-                             feasible=eligible.size >= n_c)
-
-
-def sample_episode(pl, cfg, rng, n_c=None):
-    """Uniformly sample n_c eligible classes, then n_e examples per class."""
-    n_c = cfg.n_c_train if n_c is None else n_c
-    report = check_feasibility(pl, cfg, n_c)
-    if not report.feasible:
+def sample_episode(members, n_c, n_e, rng):
+    """An (n_c, n_e) block of dataset indices: n_c classes drawn uniformly
+    from `members` (one index array per class), then n_e distinct members
+    of each.  Row c holds class c; in prototype mode its first n_s columns
+    are the support and the rest the query."""
+    if len(members) < n_c:
         raise EpisodeInfeasibleError(
-            f"{report.eligible_classes.size} eligible classes < way {n_c}"
+            f"{len(members)} eligible classes < way {n_c}"
         )
-    class_ids = rng.choice(report.eligible_classes, size=n_c, replace=False)
-    example_indices = [
-        rng.choice(pl.class_members[c], size=cfg.n_e, replace=False)
-        for c in class_ids
-    ]
-    task = EpisodicTask(class_ids=np.asarray(class_ids), example_indices=example_indices)
-    if cfg.mode == PROTOTYPE:
-        task = split_support_query(task, cfg)
-    return task
-
-
-def split_support_query(task, cfg):
-    """Positional split: first n_s indices per class are support, rest query."""
-    if cfg.mode != PROTOTYPE:
-        raise ContractViolationError("support/query split requires prototype mode")
-    if cfg.n_s + cfg.n_q != cfg.n_e or cfg.n_q < 1:
-        raise ContractViolationError(
-            f"bad split n_s={cfg.n_s} n_q={cfg.n_q} for n_e={cfg.n_e}"
-        )
-    task.support = [ex[: cfg.n_s] for ex in task.example_indices]
-    task.query = [ex[cfg.n_s:] for ex in task.example_indices]
-    return task
+    chosen = rng.choice(len(members), size=n_c, replace=False)
+    return np.stack([rng.choice(members[c], size=n_e, replace=False)
+                     for c in chosen])

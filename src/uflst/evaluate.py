@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import metric, network
+from . import episodes, metric, network
 from .errors import InputError, ProtocolInfeasibleError
 
 
@@ -67,43 +67,33 @@ def nearest_prototype_predict(support_emb, support_labels, query_emb):
     return classes[np.argmin(metric.sq_distances(query_emb, protos), axis=1)]
 
 
-def few_shot_accuracy(params, features, labels, protocol, episodes, rng,
-                      n_query=None):
+def few_shot_accuracy(params, features, labels, protocol, n_episodes, rng):
     """Mean and std of nearest-prototype accuracy over evaluation episodes.
 
-    Every episode samples `protocol.n_c_test` classes with n_s support and
-    n_query (default protocol.n_q) query examples per class; the encoder
-    embeds both and queries go to the nearest prototype.
+    Every episode is an (n_c_test, n_s + n_q) block from
+    `episodes.sample_episode`: its first n_s columns are the support and
+    the rest the query.  The encoder embeds both and queries go to the
+    nearest prototype.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    n_query = protocol.n_q if n_query is None else n_query
     way, shot = protocol.n_c_test, protocol.n_s
-    per_class = shot + n_query
-    classes = np.unique(labels)
-    eligible = [c for c in classes if np.count_nonzero(labels == c) >= per_class]
-    if len(eligible) < way:
+    per_class = shot + protocol.n_q
+    members = episodes.eligible_members(
+        [np.flatnonzero(labels == c) for c in np.unique(labels)], per_class)
+    if len(members) < way:
         raise ProtocolInfeasibleError(
-            f"{len(eligible)} classes with >= {per_class} examples < way {way}"
+            f"{len(members)} classes with >= {per_class} examples < way {way}"
         )
-    eligible = np.array(eligible)
-    members = {c: np.flatnonzero(labels == c) for c in eligible}
-    accs = np.empty(episodes)
-    for e in range(episodes):
-        chosen = rng.choice(eligible, size=way, replace=False)
-        sup_rows, sup_lab, qry_rows, qry_lab = [], [], [], []
-        for c in chosen:
-            pick = rng.choice(members[c], size=per_class, replace=False)
-            sup_rows.extend(pick[:shot])
-            sup_lab.extend([c] * shot)
-            qry_rows.extend(pick[shot:])
-            qry_lab.extend([c] * n_query)
-        all_rows = np.array(sup_rows + qry_rows)
-        emb, _ = network.forward(params, features[all_rows])
-        n_sup = len(sup_rows)
-        pred = nearest_prototype_predict(emb[:n_sup], np.array(sup_lab),
-                                         emb[n_sup:])
-        accs[e] = np.mean(pred == np.array(qry_lab))
+    accs = np.empty(n_episodes)
+    for e in range(n_episodes):
+        block = episodes.sample_episode(members, way, per_class, rng)
+        support, query = block[:, :shot].ravel(), block[:, shot:].ravel()
+        rows = np.concatenate([support, query])
+        emb, _ = network.forward(params, features[rows])
+        pred = nearest_prototype_predict(emb[:support.size], labels[support],
+                                         emb[support.size:])
+        accs[e] = np.mean(pred == labels[query])
     return float(np.mean(accs)), float(np.std(accs))
 
 

@@ -44,25 +44,18 @@ def prototype_loss(emb, labels, support_mask):
     classes = np.unique(labels)
     if classes.size < 2:
         raise ContractViolationError("prototype loss needs at least 2 classes")
-    support_classes = set(np.unique(labels[support_mask]).tolist())
+    class_list = np.unique(labels[support_mask])
     query_idx = np.flatnonzero(~support_mask)
     if query_idx.size == 0:
         raise ContractViolationError("no query points")
-    for q in query_idx:
-        if labels[q] not in support_classes:
-            raise ContractViolationError(
-                f"query class {labels[q]} has no support examples"
-            )
+    unsupported = np.setdiff1d(labels[query_idx], class_list)
+    if unsupported.size:
+        raise ContractViolationError(
+            f"query class {unsupported[0]} has no support examples"
+        )
 
-    class_list = sorted(support_classes)
-    pos_of = {c: k for k, c in enumerate(class_list)}
-    protos = np.stack([
-        emb[support_mask & (labels == c)].mean(axis=0) for c in class_list
-    ])
-    support_counts = np.array(
-        [np.count_nonzero(support_mask & (labels == c)) for c in class_list],
-        dtype=np.float64,
-    )
+    support_of = [support_mask & (labels == c) for c in class_list]
+    protos = np.stack([emb[rows].mean(axis=0) for rows in support_of])
 
     zq = emb[query_idx]                       # (Q, D)
     diff = zq[:, None, :] - protos[None, :, :]  # (Q, K, D)
@@ -70,7 +63,7 @@ def prototype_loss(emb, labels, support_mask):
     logits = -d
     shift = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.sum(np.exp(shift), axis=1)) + logits.max(axis=1)
-    target = np.array([pos_of[labels[q]] for q in query_idx])
+    target = np.searchsorted(class_list, labels[query_idx])
     loss = float(np.mean(lse - logits[np.arange(zq.shape[0]), target]))
 
     p = np.exp(logits - lse[:, None])
@@ -83,9 +76,8 @@ def prototype_loss(emb, labels, support_mask):
     grad[query_idx] += grad_q
     # dL/dc_k = -(2/Q) sum_q w_qk (z_q - c_k), split evenly over supports
     grad_c = -2.0 / n_q * np.einsum("qk,qkd->kd", w, diff)
-    for k, c in enumerate(class_list):
-        rows = np.flatnonzero(support_mask & (labels == c))
-        grad[rows] += grad_c[k] / support_counts[k]
+    for k, rows in enumerate(support_of):
+        grad[rows] += grad_c[k] / np.count_nonzero(rows)
     return loss, grad
 
 
@@ -152,25 +144,16 @@ def mine_hard_triplets(emb, labels):
         raise ContractViolationError("hard mining needs at least 2 classes")
     dist = metric.sq_distances(emb, emb)
     same = labels[:, None] == labels[None, :]
-    n = emb.shape[0]
-    anchors, positives, negatives = [], [], []
-    skipped = 0
-    for i in range(n):
-        pos_mask = same[i].copy()
-        pos_mask[i] = False
-        if not np.any(pos_mask):
-            skipped += 1
-            continue
-        pos_d = np.where(pos_mask, dist[i], -np.inf)
-        positives.append(int(np.argmax(pos_d)))
-        neg_d = np.where(~same[i], dist[i], np.inf)
-        negatives.append(int(np.argmin(neg_d)))
-        anchors.append(i)
+    pos_mask = same & ~np.eye(labels.size, dtype=bool)
+    anchors = np.flatnonzero(pos_mask.any(axis=1))
+    positives = np.argmax(np.where(pos_mask, dist, -np.inf), axis=1)[anchors]
+    negatives = np.argmin(np.where(same, np.inf, dist), axis=1)[anchors]
     return (
-        np.array(anchors, dtype=np.intp),
-        np.array(positives, dtype=np.intp),
-        np.array(negatives, dtype=np.intp),
-        MiningStats(num_anchors=len(anchors), num_skipped=skipped),
+        anchors,
+        positives,
+        negatives,
+        MiningStats(num_anchors=anchors.size,
+                    num_skipped=labels.size - anchors.size),
     )
 
 
@@ -196,27 +179,23 @@ def random_triplets(labels, rng):
     )
 
 
-def episode_labels(task):
-    """Pseudo-label position (0..n_c-1) of each row of the episode batch."""
-    n_e = len(task.example_indices[0])
-    return np.repeat(np.arange(len(task.class_ids)), n_e)
+def episode_layout(n_c, n_e, n_s):
+    """Class position and support flag of each row of a flattened (n_c, n_e)
+    episode block: row c of the block is class c, its first n_s columns
+    the support."""
+    rows = np.arange(n_c * n_e)
+    return rows // n_e, rows % n_e < n_s
 
 
-def episode_loss(task, emb, cfg, rng=None):
+def episode_loss(emb, n_c, n_s, cfg, rng=None):
     """Dispatch to the configured loss for one episode batch.
 
-    `emb` rows follow task.flat_indices() order.  Triplet variants need
-    `rng` for random triplet construction (ignored by hard mining).
+    `emb` rows follow the flattened (n_c, n_e) episode block; n_s (the
+    support columns) is read only by the prototype loss.  Triplet variants
+    need `rng` for random triplet construction (ignored by hard mining).
     """
-    labels = episode_labels(task)
+    labels, support_mask = episode_layout(n_c, emb.shape[0] // n_c, n_s)
     if cfg.kind == PROTOTYPE_KIND:
-        if task.support is None:
-            raise ContractViolationError("prototype loss needs a support/query split")
-        n_e = len(task.example_indices[0])
-        n_s = len(task.support[0])
-        support_mask = np.zeros(labels.size, dtype=bool)
-        for c in range(len(task.class_ids)):
-            support_mask[c * n_e : c * n_e + n_s] = True
         return prototype_loss(emb, labels, support_mask)
 
     if cfg.kind == HARD_TRIPLET_KIND:

@@ -17,7 +17,6 @@ from .errors import DegenerateGeometryWarning, InputError
 @dataclass
 class JaccardMatrix:
     values: np.ndarray
-    k_used: int
 
 
 def sq_distances(a, b):
@@ -71,7 +70,7 @@ def k_reciprocal_sets(knn):
     return [np.flatnonzero(mutual[i]) for i in range(n)]
 
 
-def jaccard_matrix(reciprocal, k_used=0):
+def jaccard_matrix(reciprocal):
     """1 - |R_i cap R_j| / |R_i cup R_j| for every pair.
 
     Empty-union pairs are maximally dissimilar (1) off the diagonal and 0
@@ -88,7 +87,7 @@ def jaccard_matrix(reciprocal, k_used=0):
         values = 1.0 - inter / union
     values[union == 0] = 1.0
     np.fill_diagonal(values, 0.0)
-    return JaccardMatrix(values=values, k_used=k_used)
+    return JaccardMatrix(values=values)
 
 
 def build_jaccard(embeddings, k):
@@ -102,4 +101,4 @@ def build_jaccard(embeddings, k):
         )
     knn = knn_sets(dist, k)
     reciprocal = k_reciprocal_sets(knn)
-    return jaccard_matrix(reciprocal, k_used=min(k, len(knn) - 1))
+    return jaccard_matrix(reciprocal)

@@ -52,6 +52,9 @@ class TrainConfig:
         self.dbscan.validate()
         self.episode.validate()
         self.loss.validate()
+        if (self.loss.kind == losses.PROTOTYPE_KIND
+                and self.episode.mode != episodes.PROTOTYPE):
+            raise ConfigError("loss.kind=prototype needs episode.mode=prototype")
 
     def layer_dims(self, input_dim):
         return [input_dim, *self.hidden_dims, self.embedding_dim]
@@ -136,12 +139,12 @@ def run_episodic_phase(params, features, pl, config, rng):
     becomes clustering-only and parameters are untouched.
     """
     cfg = config.episode
-    report = episodes.check_feasibility(pl, cfg)
-    way = min(cfg.n_c_train, int(report.eligible_classes.size))
+    members = episodes.eligible_members(pl.class_members, cfg.n_e)
+    way = min(cfg.n_c_train, len(members))
     floor = max(2, min(cfg.n_c_test, cfg.n_c_train))
     if way < floor:
         log.info("round skipped for training: %d eligible classes < %d",
-                 report.eligible_classes.size, floor)
+                 len(members), floor)
         return params, math.nan, way, 0
     n_kept = int(pl.kept_indices.size)
     batches_per_epoch = max(1, math.ceil(n_kept / (way * cfg.n_e)))
@@ -152,28 +155,14 @@ def run_episodic_phase(params, features, pl, config, rng):
     loss_sum = 0.0
     for s in range(total):
         epoch = s // batches_per_epoch + 1
-        task = episodes.sample_episode(pl, cfg, rng, n_c=way)
-        batch = features[task.flat_indices()]
-        emb, cache = network.forward(params, batch)
-        loss, demb = losses.episode_loss(task, emb, config.loss, rng=rng)
+        block = episodes.sample_episode(members, way, cfg.n_e, rng)
+        emb, cache = network.forward(params, features[block.ravel()])
+        loss, demb = losses.episode_loss(emb, way, cfg.n_s, config.loss,
+                                         rng=rng)
         grads, _ = network.backward(params, cache, demb)
         network.adam_step(params, grads, config.optimizer, epoch)
         loss_sum += loss
     return params, loss_sum / total, way, total
-
-
-def _round_metrics(t, pl, truth, acc_mean, acc_std, mean_loss):
-    stats = evaluate.cluster_stats(pl, truth)
-    return evaluate.RoundMetrics(
-        round=t,
-        nmi=stats["nmi"],
-        num_clusters=stats["num_clusters"],
-        num_outliers=stats["num_outliers"],
-        mean_cluster_size=stats["mean_cluster_size"],
-        accuracy_mean=acc_mean,
-        accuracy_std=acc_std,
-        mean_loss=mean_loss,
-    )
 
 
 def _prepare_run_dir(run_dir):
@@ -250,8 +239,10 @@ def run_training(config, dataset, eval_dataset=None, run_dir=None,
                 params, eval_dataset.features, eval_dataset.labels,
                 config.episode, config.eval_episodes, eval_rng,
             )
-        history.append(_round_metrics(t, pl, dataset.labels, acc_mean,
-                                      acc_std, mean_loss))
+        history.append(evaluate.RoundMetrics(
+            round=t, **evaluate.cluster_stats(pl, dataset.labels),
+            accuracy_mean=acc_mean, accuracy_std=acc_std, mean_loss=mean_loss,
+        ))
         log.info("round %d: clusters=%d outliers=%d nmi=%s acc=%s loss=%s",
                  t, pl.num_clusters, pl.outlier_indices.size,
                  history[-1].nmi, acc_mean, mean_loss)

@@ -1,5 +1,7 @@
 import csv
+import logging
 import os
+import shutil
 import subprocess
 import sys
 
@@ -145,6 +147,75 @@ class TestConfigErrors:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("uflst: error:")
+
+
+TRAIN_ARGS = ["rounds=1", "epochs_per_round=1", "hidden_dims=[16]",
+              "embedding_dim=8", "knn_k=8", "eval_episodes=10",
+              "dbscan.p_fraction=0.15", "episode.n_c_train=4",
+              "episode.n_c_test=3"]
+
+
+def rewrite_labels(path, edit):
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    with open(path, "w", newline="") as f:
+        csv.writer(f).writerows(edit(rows))
+
+
+class TestBadRunInputs:
+    """Bad label files and contradictory settings stop `train` with one
+    named error before any round runs."""
+
+    @pytest.mark.parametrize("case", [
+        "fewer_label_rows", "more_label_rows", "non_integer_label",
+        "swapped_label_rows", "missing_test_labels",
+        "prototype_loss_triplet_episodes",
+    ])
+    def test_exits_1_before_any_round(self, synth_dir, tmp_path, case):
+        data_dir = tmp_path / "data"
+        shutil.copytree(synth_dir, data_dir)
+        overrides = list(TRAIN_ARGS)
+        if case == "fewer_label_rows":
+            rewrite_labels(data_dir / "train.labels.csv", lambda r: r[:-1])
+        elif case == "more_label_rows":
+            rewrite_labels(data_dir / "train.labels.csv",
+                           lambda r: r + [[len(r) - 1, 0]])
+        elif case == "non_integer_label":
+            rewrite_labels(data_dir / "train.labels.csv",
+                           lambda r: r[:5] + [[r[5][0], "cat"]] + r[6:])
+        elif case == "swapped_label_rows":
+            rewrite_labels(data_dir / "train.labels.csv",
+                           lambda r: r[:5] + [r[6], r[5]] + r[7:])
+        elif case == "missing_test_labels":
+            os.remove(data_dir / "test.labels.csv")
+        else:
+            overrides.append("loss.kind=prototype")
+        run_dir = tmp_path / "run"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "uflst.cli", "train", "--data",
+             str(data_dir), "--run-dir", str(run_dir), *overrides],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("uflst: error:")
+        assert not os.path.exists(run_dir / "pseudo_labels" / "round_0001.csv")
+
+
+class TestRunLog:
+    def test_each_run_logs_only_its_own_rounds(self, synth_dir, tmp_path):
+        run_dirs = [tmp_path / "a", tmp_path / "b"]
+        for run_dir in run_dirs:
+            assert run_cli(["train", "--data", str(synth_dir), "--run-dir",
+                            str(run_dir), *TRAIN_ARGS]) == 0
+        for run_dir in run_dirs:
+            text = (run_dir / "run.log").read_text()
+            assert text.count(" round 1:") == 1
+        assert not any(isinstance(h, logging.FileHandler)
+                       for h in logging.getLogger("uflst").handlers)
 
 
 class TestGradcheckCommand:

@@ -20,8 +20,17 @@ class TestLoadConfig:
         assert tc.epochs_per_round == 50
         assert tc.optimizer.learning_rate == 0.005
         assert tc.optimizer.decay_after_epoch == 25
-        assert tc.episode.batch_size == 128
+        assert (tc.episode.n_c_train, tc.episode.n_e) == (32, 4)
         assert tc.loss.margin == 0.5
+
+    def test_prototype_needs_split(self):
+        # the prototype loss reads its support from the episode split
+        cfg = config_mod.load_config(None, ["loss.kind=prototype"])
+        with pytest.raises(ConfigError, match="episode.mode=prototype"):
+            config_mod.build_train_config(cfg)
+        cfg = config_mod.load_config(None, ["loss.kind=prototype",
+                                            "episode.mode=prototype"])
+        assert config_mod.build_train_config(cfg).loss.kind == "prototype"
 
     def test_file_merge(self, tmp_path):
         path = tmp_path / "c.yaml"

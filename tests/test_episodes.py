@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from uflst import cluster, episodes
-from uflst.errors import ContractViolationError, EpisodeInfeasibleError
+from uflst import cluster, episodes, losses
+from uflst.errors import EpisodeInfeasibleError
 
 
 def make_pl(class_sizes):
@@ -22,7 +22,6 @@ class TestConfig:
     def test_presets(self):
         cfg = episodes.hard_triplet_preset()
         cfg.validate()
-        assert cfg.batch_size == 128
         assert (cfg.n_c_train, cfg.n_e, cfg.n_c_test) == (32, 4, 5)
 
     def test_prototype_split_must_add_up(self):
@@ -44,72 +43,73 @@ class TestConfig:
 class TestFeasibility:
     def test_eligible_classes(self):
         pl = make_pl([4, 3, 4, 2, 5])
-        cfg = episodes.EpisodeConfig(n_c_train=3, n_e=4)
-        report = episodes.check_feasibility(pl, cfg)
-        assert np.array_equal(report.eligible_classes, [0, 2, 4])
-        assert report.feasible
-        report = episodes.check_feasibility(pl, cfg, n_c=4)
-        assert not report.feasible
+        members = episodes.eligible_members(pl.class_members, 4)
+        assert [m.tolist() for m in members] == [
+            pl.class_members[c].tolist() for c in (0, 2, 4)]
+        episodes.sample_episode(members, 3, 4, np.random.default_rng(0))
+        with pytest.raises(EpisodeInfeasibleError):
+            episodes.sample_episode(members, 4, 4, np.random.default_rng(0))
 
 
 class TestSampling:
     def test_shapes_and_membership(self):
         pl = make_pl([6, 6, 6, 6, 6])
-        cfg = episodes.EpisodeConfig(n_c_train=3, n_e=4)
         rng = np.random.default_rng(0)
-        task = episodes.sample_episode(pl, cfg, rng)
-        assert task.class_ids.size == 3
-        assert np.unique(task.class_ids).size == 3
-        for c, ex in zip(task.class_ids, task.example_indices):
-            assert len(ex) == 4
-            assert np.unique(ex).size == 4
-            assert np.all(np.isin(ex, pl.class_members[c]))
-        assert task.flat_indices().size == 12
+        block = episodes.sample_episode(pl.class_members, 3, 4, rng)
+        assert block.shape == (3, 4)
+        classes = pl.labels[block]
+        # each row is one class, and no class or example repeats
+        assert np.all(classes == classes[:, :1])
+        assert np.unique(classes[:, 0]).size == 3
+        assert np.unique(block).size == 12
 
     def test_infeasible_raises(self):
         pl = make_pl([4, 3])
-        cfg = episodes.EpisodeConfig(n_c_train=2, n_e=4)
+        members = episodes.eligible_members(pl.class_members, 4)
         with pytest.raises(EpisodeInfeasibleError):
-            episodes.sample_episode(pl, cfg, np.random.default_rng(0))
+            episodes.sample_episode(members, 2, 4, np.random.default_rng(0))
 
     def test_deterministic_for_rng_state(self):
         pl = make_pl([8] * 10)
-        cfg = episodes.EpisodeConfig(n_c_train=4, n_e=4)
-        a = episodes.sample_episode(pl, cfg, np.random.default_rng(7))
-        b = episodes.sample_episode(pl, cfg, np.random.default_rng(7))
-        assert np.array_equal(a.class_ids, b.class_ids)
-        for ea, eb in zip(a.example_indices, b.example_indices):
-            assert np.array_equal(ea, eb)
+        a = episodes.sample_episode(pl.class_members, 4, 4,
+                                    np.random.default_rng(7))
+        b = episodes.sample_episode(pl.class_members, 4, 4,
+                                    np.random.default_rng(7))
+        assert np.array_equal(a, b)
 
     def test_way_override(self):
+        # the training way may be narrower than n_c_train
         pl = make_pl([8] * 10)
-        cfg = episodes.EpisodeConfig(n_c_train=32, n_e=4)
-        task = episodes.sample_episode(pl, cfg, np.random.default_rng(1), n_c=5)
-        assert task.class_ids.size == 5
+        block = episodes.sample_episode(pl.class_members, 5, 4,
+                                        np.random.default_rng(1))
+        assert block.shape == (5, 4)
+
+    def test_matches_class_then_member_draws(self):
+        # classes first, then each class's members, from one rng: the
+        # draw order that training and evaluation rely on
+        pl = make_pl([8] * 6)
+        block = episodes.sample_episode(pl.class_members, 3, 4,
+                                        np.random.default_rng(2))
+        rng = np.random.default_rng(2)
+        chosen = rng.choice(6, size=3, replace=False)
+        for c, row in zip(chosen, block):
+            assert np.array_equal(
+                row, rng.choice(pl.class_members[c], size=4, replace=False))
 
     def test_prototype_mode_splits(self):
-        pl = make_pl([8] * 6)
-        cfg = episodes.EpisodeConfig(n_c_train=3, n_e=4, n_s=1, n_q=3,
-                                     mode=episodes.PROTOTYPE)
-        task = episodes.sample_episode(pl, cfg, np.random.default_rng(2))
-        for ex, sup, qry in zip(task.example_indices, task.support, task.query):
-            assert np.array_equal(sup, ex[:1])
-            assert np.array_equal(qry, ex[1:])
-
-    def test_split_requires_prototype_mode(self):
-        pl = make_pl([8] * 6)
-        cfg = episodes.EpisodeConfig(n_c_train=3, n_e=4, mode=episodes.TRIPLET)
-        task = episodes.sample_episode(pl, cfg, np.random.default_rng(3))
-        assert task.support is None
-        with pytest.raises(ContractViolationError):
-            episodes.split_support_query(task, cfg)
+        # support is the first n_s columns of each row
+        block = episodes.sample_episode(make_pl([8] * 6).class_members, 3, 4,
+                                        np.random.default_rng(3))
+        labels, support = losses.episode_layout(3, 4, 1)
+        assert np.array_equal(block.ravel()[support], block[:, 0])
+        assert np.array_equal(labels, np.repeat(np.arange(3), 4))
 
     def test_class_coverage_over_many_samples(self):
         # every eligible class should eventually appear
         pl = make_pl([8] * 10)
-        cfg = episodes.EpisodeConfig(n_c_train=3, n_e=4)
         rng = np.random.default_rng(4)
         seen = set()
         for _ in range(200):
-            seen.update(episodes.sample_episode(pl, cfg, rng).class_ids.tolist())
+            block = episodes.sample_episode(pl.class_members, 3, 4, rng)
+            seen.update(pl.labels[block[:, 0]].tolist())
         assert seen == set(range(10))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uflst import episodes, losses
+from uflst import losses
 from uflst.errors import ContractViolationError
 
 
@@ -235,53 +235,39 @@ class TestRandomTriplets:
 
 
 class TestEpisodeLoss:
-    def make_task(self, n_c=3, n_e=4, mode=episodes.TRIPLET):
-        cfg = episodes.EpisodeConfig(n_c_train=n_c, n_e=n_e,
-                                     n_s=1, n_q=n_e - 1, mode=mode)
-        task = episodes.EpisodicTask(
-            class_ids=np.arange(n_c),
-            example_indices=[np.arange(c * n_e, (c + 1) * n_e) for c in range(n_c)],
-        )
-        if mode == episodes.PROTOTYPE:
-            task = episodes.split_support_query(task, cfg)
-        return task
-
     def test_episode_labels(self):
-        task = self.make_task(n_c=3, n_e=2)
-        assert np.array_equal(losses.episode_labels(task), [0, 0, 1, 1, 2, 2])
+        labels, support = losses.episode_layout(3, 2, 1)
+        assert np.array_equal(labels, [0, 0, 1, 1, 2, 2])
+        assert support.tolist() == [True, False] * 3
 
     def test_dispatch_shapes(self):
         rng = np.random.default_rng(7)
         emb = rng.normal(size=(12, 5))
-        for kind, mode in (
-            (losses.PROTOTYPE_KIND, episodes.PROTOTYPE),
-            (losses.TRIPLET_KIND, episodes.TRIPLET),
-            (losses.SOFT_MARGIN_KIND, episodes.TRIPLET),
-            (losses.HARD_TRIPLET_KIND, episodes.TRIPLET),
-        ):
-            task = self.make_task(mode=mode)
+        for kind in losses.LOSS_KINDS:
             cfg = losses.LossConfig(kind=kind)
-            loss, grad = losses.episode_loss(task, emb, cfg, rng=rng)
+            loss, grad = losses.episode_loss(emb, 3, 1, cfg, rng=rng)
             assert np.isfinite(loss)
             assert grad.shape == emb.shape
 
-    def test_prototype_needs_split(self):
-        task = self.make_task(mode=episodes.TRIPLET)
-        with pytest.raises(ContractViolationError):
-            losses.episode_loss(task, np.zeros((12, 3)),
-                                losses.LossConfig(kind=losses.PROTOTYPE_KIND))
+    def test_prototype_reads_support_from_layout(self):
+        rng = np.random.default_rng(9)
+        emb = rng.normal(size=(12, 5))
+        labels, support = losses.episode_layout(3, 4, 2)
+        loss, grad = losses.episode_loss(
+            emb, 3, 2, losses.LossConfig(kind=losses.PROTOTYPE_KIND))
+        expected_loss, expected_grad = losses.prototype_loss(emb, labels,
+                                                             support)
+        assert loss == expected_loss and np.array_equal(grad, expected_grad)
 
     def test_random_kinds_need_rng(self):
-        task = self.make_task()
         with pytest.raises(ContractViolationError):
-            losses.episode_loss(task, np.zeros((12, 3)),
+            losses.episode_loss(np.zeros((12, 3)), 3, 1,
                                 losses.LossConfig(kind=losses.TRIPLET_KIND))
 
     def test_hard_triplet_deterministic_without_rng(self):
         rng = np.random.default_rng(8)
         emb = rng.normal(size=(12, 5))
-        task = self.make_task()
         cfg = losses.LossConfig(kind=losses.HARD_TRIPLET_KIND)
-        l1, g1 = losses.episode_loss(task, emb, cfg)
-        l2, g2 = losses.episode_loss(task, emb, cfg)
+        l1, g1 = losses.episode_loss(emb, 3, 1, cfg)
+        l2, g2 = losses.episode_loss(emb, 3, 1, cfg)
         assert l1 == l2 and np.array_equal(g1, g2)
