@@ -1,4 +1,5 @@
-"""Epsilon selection and deterministic DBSCAN over a precomputed matrix."""
+"""Epsilon selection and deterministic DBSCAN over a precomputed matrix:
+a dense one, or the edge list of a `metric.JaccardMatrix`."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import metric
 from .errors import (
     ConfigError,
     DegenerateGeometryWarning,
@@ -55,45 +57,91 @@ class PseudoLabeledSet:
             ]
 
 
+def _pairs(values):
+    """(n, rows, cols, dist): the upper-triangle pairs that `values` stores.
+
+    A dense matrix (symmetric, zero diagonal) stores every pair.  A
+    JaccardMatrix stores its pairs below 1; every pair it leaves out is at
+    distance exactly 1.
+    """
+    if isinstance(values, metric.JaccardMatrix):
+        return values.n, values.rows, values.cols, values.dist
+    values = np.asarray(values, dtype=np.float64)
+    n = values.shape[0]
+    rows, cols = np.triu_indices(n, k=1)
+    return n, rows, cols, values[rows, cols]
+
+
 def select_epsilon(values, p, per_point_minimum=False):
     """Mean of the P smallest off-diagonal distances.
 
     The default reading averages the P globally smallest upper-triangle
     entries; the alternative averages each point's single minimum over the
-    P points with the smallest such minima.
+    P points with the smallest such minima.  `values` is a dense matrix or
+    a JaccardMatrix.
     """
-    values = np.asarray(values, dtype=np.float64)
-    n = values.shape[0]
+    n, rows, cols, dist = _pairs(values)
     if n < 2:
         raise EmptyClusteringError("need at least two points to select epsilon")
-    iu = np.triu_indices(n, k=1)
-    tri = values[iu]
-    if np.all(tri == 0):
+    n_pairs = n * (n - 1) // 2
+    implicit = n_pairs - dist.size   # pairs left out at exactly 1
+    if implicit == 0 and not np.any(dist):
         warnings.warn(
             "all pairwise distances are zero; epsilon degenerates to 0",
             DegenerateGeometryWarning,
         )
         return 0.0
     if per_point_minimum:
-        mins = np.sort(np.min(values + np.diag(np.full(n, np.inf)), axis=1))
-        pool = mins[: min(p, n)]
+        mins = np.full(n, np.inf)
+        np.minimum.at(mins, rows, dist)
+        np.minimum.at(mins, cols, dist)
+        if implicit:
+            # stored Jaccard edges are all below 1
+            np.minimum(mins, 1.0, out=mins)
+        pool = np.sort(mins)[: min(p, n)]
     else:
-        pool = np.sort(tri)[: min(p, tri.size)]
+        pool = np.sort(dist)[: min(p, n_pairs)]
+        # the implicit pairs at 1 sort after every stored edge
+        pool = np.concatenate([pool, np.ones(min(p, n_pairs) - pool.size)])
     return float(np.mean(pool))
+
+
+def _neighbourhoods(values, epsilon):
+    """Sizes and ascending members of the `distance <= epsilon` sets.
+
+    Returns (counts, neighbours): counts[i] is the size of point i's set,
+    self included, and neighbours(i) lists its members.
+    """
+    n, rows, cols, dist = _pairs(values)
+    if epsilon >= 1.0 and dist.size < n * (n - 1) // 2:
+        # every left-out pair is at exactly 1: all points are neighbours
+        everyone = np.arange(n)
+        return np.full(n, n), lambda i: everyone
+    near = dist <= epsilon
+    src = np.concatenate([rows[near], cols[near]])
+    dst = np.concatenate([cols[near], rows[near]])
+    if epsilon >= 0:
+        src = np.concatenate([src, np.arange(n)])
+        dst = np.concatenate([dst, np.arange(n)])
+    order = np.lexsort((dst, src))
+    dst = dst[order]
+    counts = np.bincount(src, minlength=n)
+    ends = np.cumsum(counts)
+    return counts, lambda i: dst[ends[i] - counts[i]:ends[i]]
 
 
 def dbscan_fit(values, epsilon, ms):
     """Classic DBSCAN on a precomputed distance matrix.
 
-    Core point: >= ms points (self included) within distance <= epsilon.
-    Expansion seeds are processed in ascending-index order so labels are
-    fully deterministic.  Noise is labeled -1.
+    `values` is a dense matrix (symmetric, zero diagonal) or a
+    JaccardMatrix.  Core point: >= ms points (self included) within
+    distance <= epsilon.  Clusters grow from unvisited core points in
+    ascending-index order, and a border point joins the first cluster that
+    reaches it, so labels are fully deterministic.  Noise is labeled -1.
     """
-    values = np.asarray(values, dtype=np.float64)
-    n = values.shape[0]
-    within = values <= epsilon
-    neighbor_count = within.sum(axis=1)
-    is_core = neighbor_count >= ms
+    counts, neighbours = _neighbourhoods(values, epsilon)
+    n = counts.size
+    is_core = counts >= ms
 
     UNVISITED = -2
     labels = np.full(n, UNVISITED, dtype=np.int64)
@@ -105,16 +153,14 @@ def dbscan_fit(values, epsilon, ms):
             labels[i] = NOISE
             continue
         labels[i] = cluster
-        seeds = deque(np.flatnonzero(within[i]))
+        seeds = deque([i])
         while seeds:
-            j = seeds.popleft()
-            if labels[j] == NOISE:
-                labels[j] = cluster  # border point adopted by first cluster
-            if labels[j] != UNVISITED:
-                continue
-            labels[j] = cluster
-            if is_core[j]:
-                seeds.extend(np.flatnonzero(within[j]))
+            nb = neighbours(seeds.popleft())
+            # unvisited points, and noise adopted as border points; a
+            # point is labeled once, so each core point expands once
+            new = nb[labels[nb] < 0]
+            labels[new] = cluster
+            seeds.extend(new[is_core[new]])
         cluster += 1
     return labels
 
@@ -130,16 +176,13 @@ def build_pseudo_labeled_set(raw_labels):
     outliers = all_idx[raw_labels == NOISE]
     if kept.size == 0:
         raise EmptyClusteringError("every point was marked noise")
-    remap = {}
-    labels = np.empty(kept.size, dtype=np.int64)
-    for pos, idx in enumerate(kept):
-        raw = raw_labels[idx]
-        if raw not in remap:
-            remap[raw] = len(remap)
-        labels[pos] = remap[raw]
+    _, first, inverse = np.unique(raw_labels[kept], return_index=True,
+                                  return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
     return PseudoLabeledSet(
         kept_indices=kept,
-        labels=labels,
-        num_clusters=len(remap),
+        labels=rank[inverse],
+        num_clusters=int(first.size),
         outlier_indices=outliers,
     )

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import episodes, metric, network
-from .errors import InputError, ProtocolInfeasibleError
+from .errors import ConfigError, InputError, ProtocolInfeasibleError
 
 
 @dataclass
@@ -75,6 +75,8 @@ def few_shot_accuracy(params, features, labels, protocol, n_episodes, rng):
     the rest the query.  The encoder embeds both and queries go to the
     nearest prototype.
     """
+    if n_episodes < 1:
+        raise ConfigError(f"episodes must be >= 1, got {n_episodes}")
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     way, shot = protocol.n_c_test, protocol.n_s

@@ -3,6 +3,10 @@
 The neighbor-set distance is defined on squared Euclidean distances in
 embedding space; two points are close in the Jaccard sense when their
 mutual-nearest-neighbor sets overlap heavily.
+
+The chain never holds an N x N array: distances and kNN lists are built
+in row blocks, and the Jaccard matrix is kept as the edge list of its
+pairs below 1, of which there are at most N k^2 / 2.
 """
 
 from __future__ import annotations
@@ -14,9 +18,32 @@ import numpy as np
 
 from .errors import DegenerateGeometryWarning, InputError
 
-@dataclass
+# Distance entries computed per row block in `build_jaccard` (32 MB of
+# float64): large enough for an efficient GEMM, small next to the data.
+BLOCK_ENTRIES = 1 << 22
+
+
+@dataclass(frozen=True)
 class JaccardMatrix:
-    values: np.ndarray
+    """Jaccard distances of n points as an upper-triangle edge list.
+
+    Only the pairs rows[e] < cols[e] whose distance dist[e] is below 1 are
+    stored, sorted by (row, col).  Every other off-diagonal pair is at
+    exactly 1, and the diagonal is 0.
+    """
+    n: int
+    rows: np.ndarray
+    cols: np.ndarray
+    dist: np.ndarray
+
+    @property
+    def values(self):
+        """The dense n x n matrix, for small-N checks and tracing."""
+        out = np.ones((self.n, self.n))
+        out[self.rows, self.cols] = self.dist
+        out[self.cols, self.rows] = self.dist
+        np.fill_diagonal(out, 0.0)
+        return out
 
 
 def sq_distances(a, b):
@@ -28,77 +55,115 @@ def sq_distances(a, b):
     return dist
 
 
-def pairwise_sq_euclidean(values):
-    """Full N x N squared-distance matrix; symmetric, zero diagonal."""
+def _check_finite(values):
     values = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(values)):
         raise InputError("embeddings contain non-finite values")
+    return values
+
+
+def pairwise_sq_euclidean(values):
+    """Full N x N squared-distance matrix; symmetric, zero diagonal."""
+    values = _check_finite(values)
     dist = sq_distances(values, values)
     dist = 0.5 * (dist + dist.T)
     np.fill_diagonal(dist, 0.0)
     return dist
 
 
-def knn_sets(dist, k):
+def knn_sets(dist, k, start=0):
     """Ordered k-nearest-neighbor lists, self excluded, index tie-break.
 
-    k is clamped to N-1 with a warning when too large.
+    `dist` holds rows start, start+1, ... of the N x N distance matrix
+    (all of it by default); the result is a (rows, k) index array.  k is
+    clamped to N-1 with a warning when too large.
     """
     dist = np.asarray(dist, dtype=np.float64)
-    n = dist.shape[0]
+    b, n = dist.shape
     if k >= n:
         warnings.warn(f"k={k} clamped to {n - 1} for N={n} points")
         k = n - 1
-    knn = []
     if k <= 0:
-        return [np.empty(0, dtype=np.intp) for _ in range(n)]
-    idx = np.arange(n)
-    for i in range(n):
-        order = np.lexsort((idx, dist[i]))
-        order = order[order != i]
-        knn.append(order[:k].copy())
+        return np.empty((b, 0), dtype=np.intp)
+    # The k nearest others are among the entries at or below the (k+1)-th
+    # smallest value of the row, self included; ties at that value all
+    # stay, so the index tie-break sees every candidate.
+    kth = np.partition(dist, k, axis=1)[:, k]
+    rows, cols = np.nonzero(dist <= kth[:, None])
+    other = cols != rows + start
+    rows, cols = rows[other], cols[other]
+    order = np.lexsort((cols, dist[rows, cols], rows))
+    rows, cols = rows[order], cols[order]
+    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+    first = rank < k
+    knn = np.empty((b, k), dtype=np.intp)
+    knn[rows[first], rank[first]] = cols[first]
     return knn
 
 
 def k_reciprocal_sets(knn):
-    """Mutual-membership filter: keep j in knn[i] only if i is in knn[j]."""
-    n = len(knn)
-    member = np.zeros((n, n), dtype=bool)
-    for i, nb in enumerate(knn):
-        member[i, nb] = True
-    mutual = member & member.T
-    return [np.flatnonzero(mutual[i]) for i in range(n)]
+    """Mutual-membership filter: keep j in knn[i] only if i is in knn[j].
+
+    Returns the ascending set R_i of every point.
+    """
+    knn = np.asarray(knn, dtype=np.intp)
+    n, k = knn.shape
+    # pair (i, j) as the key i*n + j; sorting the keys sorts by (i, j)
+    keys = np.sort(np.repeat(np.arange(n), k) * n + knn.ravel())
+    rows, cols = np.divmod(keys, n)
+    mutual = np.isin(cols * n + rows, keys, assume_unique=True)
+    cols = cols[mutual]
+    sizes = np.bincount(rows[mutual], minlength=n)
+    return [cols[end - size:end]
+            for end, size in zip(np.cumsum(sizes), sizes)]
 
 
 def jaccard_matrix(reciprocal):
-    """1 - |R_i cap R_j| / |R_i cup R_j| for every pair.
+    """1 - |R_a cap R_b| / |R_a cup R_b| for every pair, as the edges below 1.
 
-    Empty-union pairs are maximally dissimilar (1) off the diagonal and 0
-    on it.
+    Reciprocity is symmetric, so m lies in R_a and in R_b exactly when a
+    and b both lie in R_m: counting how often each pair occurs inside the
+    sets R_m gives every non-empty intersection.  The pairs that occur
+    nowhere are disjoint or both empty, and sit at 1.
     """
     n = len(reciprocal)
-    member = np.zeros((n, n))
-    for i, r in enumerate(reciprocal):
-        member[i, r] = 1.0
-    sizes = member.sum(axis=1)
-    inter = member @ member.T
-    union = sizes[:, None] + sizes[None, :] - inter
-    with np.errstate(invalid="ignore", divide="ignore"):
-        values = 1.0 - inter / union
-    values[union == 0] = 1.0
-    np.fill_diagonal(values, 0.0)
-    return JaccardMatrix(values=values)
+    sizes = np.array([len(r) for r in reciprocal], dtype=np.int64)
+    members = np.concatenate([np.empty(0, dtype=np.int64), *reciprocal])
+    starts = np.cumsum(sizes) - sizes
+    keys = [np.empty(0, dtype=np.int64)]
+    for s in np.unique(sizes[sizes >= 2]):
+        sets = np.sort(members[starts[sizes == s][:, None] + np.arange(s)],
+                       axis=1)
+        a, b = np.triu_indices(s, k=1)
+        keys.append((sets[:, a] * n + sets[:, b]).ravel())
+    keys, inter = np.unique(np.concatenate(keys), return_counts=True)
+    rows, cols = np.divmod(keys, n)
+    union = sizes[rows] + sizes[cols] - inter
+    return JaccardMatrix(n=n, rows=rows, cols=cols, dist=1.0 - inter / union)
 
 
 def build_jaccard(embeddings, k):
-    """Convenience chain: distances -> knn -> reciprocal -> Jaccard."""
-    dist = pairwise_sq_euclidean(embeddings)
-    if dist.shape[0] > 1 and np.all(dist == 0.0):
+    """Distances -> knn -> reciprocal -> Jaccard, in row blocks.
+
+    Each block holds about BLOCK_ENTRIES squared distances, so memory
+    stays O(N k^2 + block) however large N grows.
+    """
+    emb = _check_finite(embeddings)
+    n = emb.shape[0]
+    step = max(1, BLOCK_ENTRIES // max(n, 1))
+    blocks = []
+    coincide = n > 1
+    for start in range(0, n, step):
+        dist = sq_distances(emb[start:start + step], emb)
+        local = np.arange(dist.shape[0])
+        dist[local, start + local] = 0.0
+        coincide = coincide and not dist.any()
+        blocks.append(knn_sets(dist, k, start))
+    if coincide:
         warnings.warn(
             "all embeddings coincide; neighbor sets are pure index "
             "tie-breaks",
             DegenerateGeometryWarning,
         )
-    knn = knn_sets(dist, k)
-    reciprocal = k_reciprocal_sets(knn)
-    return jaccard_matrix(reciprocal)
+    knn = np.concatenate(blocks) if blocks else np.empty((0, 0), np.intp)
+    return jaccard_matrix(k_reciprocal_sets(knn))

@@ -48,6 +48,8 @@ class TrainConfig:
             raise ConfigError("rounds and epochs_per_round must be >= 1")
         if self.knn_k < 1 or self.embedding_dim < 1:
             raise ConfigError("knn_k and embedding_dim must be >= 1")
+        if self.eval_episodes < 0 or self.episodes_per_round < 0:
+            raise ConfigError("eval_episodes and episodes_per_round must be >= 0")
         self.optimizer.validate()
         self.dbscan.validate()
         self.episode.validate()
@@ -98,13 +100,13 @@ def run_clustering_phase(params, features, knn_k, dbscan_cfg):
         epsilon = dbscan_cfg.epsilon_override
     else:
         epsilon = cluster.select_epsilon(
-            jm.values, dbscan_cfg.resolve_p(features.shape[0]),
+            jm, dbscan_cfg.resolve_p(features.shape[0]),
             dbscan_cfg.per_point_minimum,
         )
     rungs = []
 
     def attempt(eps, ms):
-        raw = cluster.dbscan_fit(jm.values, eps, ms)
+        raw = cluster.dbscan_fit(jm, eps, ms)
         return cluster.build_pseudo_labeled_set(raw)
 
     eps, ms = epsilon, dbscan_cfg.ms

@@ -10,6 +10,7 @@ import inspect
 import os
 import sys
 
+import numpy as np
 import pytest
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)),
@@ -50,3 +51,15 @@ def test_hooked_name_is_a_public_function(name):
     fn = getattr(module, attr, None)
     assert not attr.startswith("_")
     assert inspect.isfunction(fn) and fn.__module__ == module.__name__
+
+
+def test_jaccard_edge_count_reads_the_edge_list():
+    # `--trace 1` counts Jaccard edges from the dense `.values` view
+    from uflst import metric
+
+    points = np.random.default_rng(0).normal(size=(60, 3))
+    jm = metric.build_jaccard(points, 6)
+    t = tracer.Tracer()
+    tracer._jaccard_edges(t, 0, (), jm)
+    assert jm.dist.size > 0
+    assert t.counts["metric.jaccard_edges"] == jm.dist.size

@@ -87,6 +87,24 @@ class TestEval:
         assert "3-way" in out and "accuracy" in out
 
 
+    @pytest.mark.parametrize("episodes", ["-1", "0"])
+    def test_fewer_than_one_episode_exits_1(self, synth_dir, trained_run,
+                                            episodes):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "uflst.cli", "eval", "--checkpoint",
+             str(trained_run / "final_model.ckpt"), "--data", str(synth_dir),
+             "--episodes", episodes, "episode.n_c_test=3"],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "Warning" not in proc.stderr and proc.stdout == ""
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("uflst: error:")
+
+
 class TestCluster:
     def test_cluster_runs(self, synth_dir, trained_run, tmp_path, capsys):
         out_csv = tmp_path / "pl.csv"
@@ -169,7 +187,8 @@ class TestBadRunInputs:
     @pytest.mark.parametrize("case", [
         "fewer_label_rows", "more_label_rows", "non_integer_label",
         "swapped_label_rows", "missing_test_labels",
-        "prototype_loss_triplet_episodes",
+        "prototype_loss_triplet_episodes", "negative_eval_episodes",
+        "negative_episodes_per_round",
     ])
     def test_exits_1_before_any_round(self, synth_dir, tmp_path, case):
         data_dir = tmp_path / "data"
@@ -188,6 +207,10 @@ class TestBadRunInputs:
                            lambda r: r[:5] + [r[6], r[5]] + r[7:])
         elif case == "missing_test_labels":
             os.remove(data_dir / "test.labels.csv")
+        elif case == "negative_eval_episodes":
+            overrides.append("eval_episodes=-5")
+        elif case == "negative_episodes_per_round":
+            overrides.append("episodes_per_round=-3")
         else:
             overrides.append("loss.kind=prototype")
         run_dir = tmp_path / "run"

@@ -1,10 +1,14 @@
 import warnings
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uflst import cluster, metric
 from uflst.errors import DegenerateGeometryWarning, EmptyClusteringError
+
+from test_metric import point_sets, sparse_jaccard
 
 
 def oracle_dbscan_partition(values, epsilon, ms):
@@ -44,6 +48,45 @@ def oracle_dbscan_partition(values, epsilon, ms):
         else:
             noise.add(i)
     return assigned, noise, core
+
+
+def reference_dbscan(values, epsilon, ms):
+    """Dense-mask DBSCAN with label-on-pop expansion in ascending-index
+    order: the formulation the sparse neighbour lists replaced."""
+    within = values <= epsilon
+    is_core = within.sum(axis=1) >= ms
+    n = values.shape[0]
+    labels = np.full(n, -2, dtype=np.int64)
+    label = 0
+    for i in range(n):
+        if labels[i] != -2:
+            continue
+        if not is_core[i]:
+            labels[i] = cluster.NOISE
+            continue
+        labels[i] = label
+        seeds = deque(np.flatnonzero(within[i]))
+        while seeds:
+            j = seeds.popleft()
+            if labels[j] == cluster.NOISE:
+                labels[j] = label
+            if labels[j] != -2:
+                continue
+            labels[j] = label
+            if is_core[j]:
+                seeds.extend(np.flatnonzero(within[j]))
+        label += 1
+    return labels
+
+
+def reference_compaction(raw_labels):
+    """Dict remap of non-noise labels to 0..C-1 in first-seen order."""
+    remap = {}
+    labels = []
+    for raw in raw_labels:
+        if raw != cluster.NOISE:
+            labels.append(remap.setdefault(raw, len(remap)))
+    return np.array(labels, dtype=np.int64), len(remap)
 
 
 def co_membership(labels):
@@ -162,6 +205,17 @@ class TestDbscan:
         # the cluster containing point 0 must be labeled 0
         assert labels[0] == 0 and labels[4] == 1
 
+    def test_matches_reference_labels(self):
+        rng = np.random.default_rng(3)
+        for trial in range(30):
+            n = int(rng.integers(10, 80))
+            pts = rng.normal(size=(n, 2)) * rng.choice([0.5, 1.0, 3.0])
+            d = metric.pairwise_sq_euclidean(pts)
+            eps = float(rng.uniform(0.05, 2.0))
+            ms = int(rng.integers(1, 6))
+            assert np.array_equal(cluster.dbscan_fit(d, eps, ms),
+                                  reference_dbscan(d, eps, ms))
+
     def test_epsilon_zero_coincident_points(self):
         # coincident points have distance 0 <= 0 and still cluster
         d = np.zeros((5, 5))
@@ -187,3 +241,43 @@ class TestPseudoLabeledSet:
         pl = cluster.build_pseudo_labeled_set(np.array([0, 0, 1]))
         assert pl.outlier_indices.size == 0
         assert pl.kept_indices.size == 3
+
+    def test_matches_reference_compaction(self):
+        rng = np.random.default_rng(4)
+        for trial in range(50):
+            raw = rng.integers(-1, int(rng.integers(1, 30)),
+                               size=int(rng.integers(1, 200)))
+            raw[rng.integers(0, raw.size)] = 5  # never all noise
+            labels, num = reference_compaction(raw)
+            pl = cluster.build_pseudo_labeled_set(raw)
+            assert np.array_equal(pl.labels, labels)
+            assert pl.num_clusters == num
+
+
+class TestSparseMatchesDense:
+    """select_epsilon and dbscan_fit read a JaccardMatrix and its dense
+    `.values` alike."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(point_sets(), st.integers(1, 3000), st.booleans())
+    def test_select_epsilon(self, case, p, per_point_minimum):
+        jm = sparse_jaccard(*case)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateGeometryWarning)
+            sparse = cluster.select_epsilon(jm, p, per_point_minimum)
+            dense = cluster.select_epsilon(jm.values, p, per_point_minimum)
+        assert sparse == dense
+
+    @settings(max_examples=60, deadline=None)
+    @given(point_sets(), st.integers(1, 8), st.data())
+    def test_dbscan_labels(self, case, ms, data):
+        jm = sparse_jaccard(*case)
+        # stored edge values test the <= boundary; values >= 1 make every
+        # pair a neighbour, as the dense mask does
+        epsilon = data.draw(st.one_of(
+            st.sampled_from([0.0, 1.0, 1.5, *jm.dist.tolist()]),
+            st.floats(0.0, 2.0)))
+        dense = jm.values
+        labels = cluster.dbscan_fit(jm, epsilon, ms)
+        assert np.array_equal(labels, cluster.dbscan_fit(dense, epsilon, ms))
+        assert np.array_equal(labels, reference_dbscan(dense, epsilon, ms))

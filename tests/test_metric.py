@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uflst import metric
 from uflst.errors import InputError
@@ -181,3 +186,79 @@ class TestJaccard:
         a = metric.build_jaccard(points, 5).values
         b = metric.build_jaccard(points[perm], 5).values
         assert np.allclose(a[np.ix_(perm, perm)], b, atol=1e-12)
+
+
+@st.composite
+def point_sets(draw):
+    """(points, k, block): 5-80 points, random or on an integer grid (many
+    exact distance ties), any k, and a BLOCK_ENTRIES small enough that
+    build_jaccard runs anywhere from one row per block to one block."""
+    n = draw(st.integers(5, 80))
+    dim = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        points = rng.integers(-2, 3, size=(n, dim)).astype(np.float64)
+    else:
+        points = rng.normal(size=(n, dim))
+    k = draw(st.integers(1, n + 2))
+    block = draw(st.integers(1, 8 * n))
+    return points, k, block
+
+
+def sparse_jaccard(points, k, block):
+    with mock.patch.object(metric, "BLOCK_ENTRIES", block), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return metric.build_jaccard(points, k)
+
+
+class TestSparseMatchesDense:
+    @settings(max_examples=60, deadline=None)
+    @given(point_sets())
+    def test_build_jaccard_equals_dense_oracle_chain(self, case):
+        points, k, block = case
+        dist = metric.pairwise_sq_euclidean(points)
+        knn = oracle_knn(dist, min(k, len(points) - 1))
+        expected = oracle_jaccard(oracle_reciprocal(knn))
+        jm = sparse_jaccard(points, k, block)
+        assert np.array_equal(jm.values, expected)
+        # exactly the pairs below 1 are stored, once each, as i < j
+        assert jm.dist.size == np.count_nonzero(np.triu(expected < 1.0, 1))
+        assert np.all(jm.rows < jm.cols)
+
+    def test_row_block_matches_full_matrix(self):
+        rng = np.random.default_rng(8)
+        points = rng.integers(-2, 3, size=(30, 2)).astype(np.float64)
+        dist = metric.pairwise_sq_euclidean(points)
+        full = metric.knn_sets(dist, 6)
+        for start in (0, 7, 29):
+            block = metric.knn_sets(dist[start:start + 9], 6, start)
+            assert np.array_equal(block, full[start:start + 9])
+
+
+SCALE_SCRIPT = """
+import resource
+import numpy as np
+from uflst import cluster, metric
+emb = np.random.default_rng(0).normal(size=(16000, 16))
+jm = metric.build_jaccard(emb, 20)
+eps = cluster.select_epsilon(jm, cluster.DbscanConfig().resolve_p(jm.n))
+labels = cluster.dbscan_fit(jm, eps, 4)
+print(jm.dist.size, labels.size,
+      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+class TestScale:
+    def test_16k_points_cluster_under_1gb(self):
+        # the dense N x N chain needs about 12 GB at this size
+        src = os.path.dirname(os.path.dirname(metric.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", SCALE_SCRIPT], capture_output=True,
+            text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        edges, n_labels, maxrss_kb = map(int, proc.stdout.split())
+        assert n_labels == 16000
+        assert 0 < edges <= 16000 * 20 * 19 // 2
+        assert maxrss_kb < 1024 * 1024
