@@ -17,10 +17,12 @@ if _THREAD_CAP:
 import argparse
 import csv
 import logging
+import platform
 import sys
 
 import numpy as np
 
+from . import __version__
 from . import config as config_mod
 from . import data, evaluate, losses, network, pipeline
 from .errors import DatasetParseError, UflstError
@@ -70,17 +72,26 @@ def _load_dataset_dir(path, split, need_labels=False):
     return ds
 
 
-def _setup_run_dir(run_dir, cfg):
+def _setup_run_dir(run_dir, cfg, argv):
+    """Snapshot config and environment; start `run.log`, warnings included."""
     os.makedirs(run_dir, exist_ok=True)
     config_mod.dump_config(cfg, os.path.join(run_dir, "config.yaml"))
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     meta = {
+        "argv": list(argv),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "uflst": __version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
         "uflst_threads": _THREAD_CAP or "unset",
     }
     config_mod.dump_config(meta, os.path.join(run_dir, "run_meta.yaml"))
     handler = logging.FileHandler(os.path.join(run_dir, "run.log"))
     handler.setFormatter(logging.Formatter("%(asctime)s %(levelname)s %(message)s"))
-    log.addHandler(handler)
+    for logger in (log, logging.getLogger("py.warnings")):
+        logger.addHandler(handler)
     log.setLevel(logging.INFO)
+    logging.captureWarnings(True)
     return handler
 
 
@@ -92,14 +103,16 @@ def cmd_train(args):
     if (train_cfg.eval_episodes > 0
             and os.path.exists(os.path.join(args.data, "test.raw64"))):
         eval_ds = _load_dataset_dir(args.data, "test", need_labels=True)
-    handler = _setup_run_dir(args.run_dir, cfg)
+    handler = _setup_run_dir(args.run_dir, cfg, args.argv)
     try:
         result = pipeline.run_training(
             train_cfg, train_ds, eval_dataset=eval_ds, run_dir=args.run_dir,
             resume_from=args.resume,
         )
     finally:
-        log.removeHandler(handler)
+        logging.captureWarnings(False)
+        for logger in (log, logging.getLogger("py.warnings")):
+            logger.removeHandler(handler)
         handler.close()
     if result.status != "completed":
         print(f"train: run aborted after round "
@@ -274,6 +287,7 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.argv = sys.argv[1:] if argv is None else list(argv)
     if getattr(args, "config", None) and not os.path.exists(args.config):
         parser.exit(2, f"uflst: config file not found: {args.config}\n")
     try:

@@ -34,6 +34,8 @@ class DbscanConfig:
             raise ConfigError("p_count must be >= 0")
         if self.p_count == 0 and not (0 < self.p_fraction <= 1):
             raise ConfigError("p_fraction must lie in (0, 1]")
+        if not self.epsilon_override >= 0:
+            raise ConfigError("epsilon_override must be >= 0")
 
     def resolve_p(self, n):
         n_pairs = n * (n - 1) // 2

@@ -60,10 +60,7 @@ def nmi(a, b):
 
 def nearest_prototype_predict(support_emb, support_labels, query_emb):
     """Classify each query to the class whose support mean is closest."""
-    classes = np.unique(support_labels)
-    protos = np.stack([
-        support_emb[support_labels == c].mean(axis=0) for c in classes
-    ])
+    classes, _, _, protos = metric.class_means(support_emb, support_labels)
     return classes[np.argmin(metric.sq_distances(query_emb, protos), axis=1)]
 
 

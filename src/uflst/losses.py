@@ -41,21 +41,18 @@ def prototype_loss(emb, labels, support_mask):
     emb = np.asarray(emb, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     support_mask = np.asarray(support_mask, dtype=bool)
-    classes = np.unique(labels)
-    if classes.size < 2:
+    if np.unique(labels).size < 2:
         raise ContractViolationError("prototype loss needs at least 2 classes")
-    class_list = np.unique(labels[support_mask])
     query_idx = np.flatnonzero(~support_mask)
     if query_idx.size == 0:
         raise ContractViolationError("no query points")
+    class_list, of_support, counts, protos = metric.class_means(
+        emb[support_mask], labels[support_mask])
     unsupported = np.setdiff1d(labels[query_idx], class_list)
     if unsupported.size:
         raise ContractViolationError(
             f"query class {unsupported[0]} has no support examples"
         )
-
-    support_of = [support_mask & (labels == c) for c in class_list]
-    protos = np.stack([emb[rows].mean(axis=0) for rows in support_of])
 
     zq = emb[query_idx]                       # (Q, D)
     diff = zq[:, None, :] - protos[None, :, :]  # (Q, K, D)
@@ -72,12 +69,10 @@ def prototype_loss(emb, labels, support_mask):
     n_q = zq.shape[0]
     grad = np.zeros_like(emb)
     # dL/dz_q = (2/Q) sum_k w_qk (z_q - c_k)
-    grad_q = 2.0 / n_q * np.einsum("qk,qkd->qd", w, diff)
-    grad[query_idx] += grad_q
+    grad[query_idx] += 2.0 / n_q * np.einsum("qk,qkd->qd", w, diff)
     # dL/dc_k = -(2/Q) sum_q w_qk (z_q - c_k), split evenly over supports
     grad_c = -2.0 / n_q * np.einsum("qk,qkd->kd", w, diff)
-    for k, rows in enumerate(support_of):
-        grad[rows] += grad_c[k] / np.count_nonzero(rows)
+    grad[support_mask] += (grad_c / counts[:, None])[of_support]
     return loss, grad
 
 

@@ -55,6 +55,18 @@ def sq_distances(a, b):
     return dist
 
 
+def class_means(points, labels):
+    """(classes, of_row, counts, means): the sorted distinct labels, each
+    row's class position, and each class's row count and mean row.  Rows
+    are added to 0 in row order, as `np.mean(axis=0)` adds them at any
+    width but 1 (there it sums pairwise), so the means carry its bits."""
+    classes, of_row, counts = np.unique(labels, return_inverse=True,
+                                        return_counts=True)
+    sums = np.zeros((classes.size, points.shape[1]))
+    np.add.at(sums, of_row, points)
+    return classes, of_row, counts, sums / counts[:, None]
+
+
 def _check_finite(values):
     values = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(values)):

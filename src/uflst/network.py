@@ -8,7 +8,7 @@ capture the whole optimizer trajectory.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,34 +27,41 @@ CHECKPOINT_VERSION = 1
 
 
 @dataclass
-class AdamState:
-    m: list  # first-moment arrays, one pair (mW, mb) per layer
-    v: list  # second-moment arrays, same layout
+class ModelParams:
+    """Weights, biases and Adam moments in three buffers of one layout.
+
+    `flat`, `m` and `v` each hold W1, b1, W2, b2, ... back to back, every
+    W row-major (out_dim, in_dim); `weights` and `biases` are views into
+    `flat`.  `dims` lists the layer widths, input first.
+    """
+    dims: tuple
+    flat: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
+    def __post_init__(self):
+        self.weights, self.biases = self.views(self.flat)
 
-@dataclass
-class ModelParams:
-    weights: list  # per layer: (out_dim, in_dim) float64
-    biases: list   # per layer: (out_dim,) float64
-    adam: AdamState = field(default=None)
+    def views(self, buf):
+        """Per-layer (weights, biases) views into a buffer of `flat`'s layout."""
+        weights, biases, end = [], [], 0
+        for d_in, d_out in zip(self.dims[:-1], self.dims[1:]):
+            start, end = end, end + d_out * (d_in + 1)
+            weights.append(buf[start:end - d_out].reshape(d_out, d_in))
+            biases.append(buf[end - d_out:end])
+        return tuple(weights), tuple(biases)
 
-    @property
-    def layer_dims(self):
-        dims = [self.weights[0].shape[1]]
-        dims += [w.shape[0] for w in self.weights]
-        return dims
+    @classmethod
+    def zeros(cls, dims):
+        """All-zero parameters and Adam state for the layer widths `dims`."""
+        dims = tuple(int(d) for d in dims)
+        size = sum(d_out * (d_in + 1) for d_in, d_out in zip(dims[:-1], dims[1:]))
+        return cls(dims, np.zeros(size), np.zeros(size), np.zeros(size))
 
     def copy(self):
-        return ModelParams(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            adam=AdamState(
-                m=[(mw.copy(), mb.copy()) for mw, mb in self.adam.m],
-                v=[(vw.copy(), vb.copy()) for vw, vb in self.adam.v],
-                step=self.adam.step,
-            ),
-        )
+        return ModelParams(self.dims, self.flat.copy(), self.m.copy(),
+                           self.v.copy(), self.step)
 
 
 @dataclass
@@ -73,6 +80,10 @@ class OptimizerConfig:
             raise ConfigError("decay_factor must lie in (0, 1]")
         if self.decay_after_epoch < 1:
             raise ConfigError("decay_after_epoch must be a positive integer")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ConfigError("beta1 and beta2 must lie in [0, 1)")
+        if not self.epsilon_adam > 0:
+            raise ConfigError("epsilon_adam must be positive")
 
     def effective_lr(self, epoch):
         """Step size for a given 1-based epoch: a single multiplicative drop
@@ -92,17 +103,12 @@ def init_params(layer_dims, seed):
         raise InvalidArchitectureError("need at least an input and an output dim")
     if any(d <= 0 for d in layer_dims):
         raise InvalidArchitectureError(f"zero or negative layer dim in {layer_dims}")
+    params = ModelParams.zeros(layer_dims)
     rng = np.random.default_rng(seed)
-    weights, biases, m, v = [], [], [], []
-    for d_in, d_out in zip(layer_dims[:-1], layer_dims[1:]):
-        bound = np.sqrt(3.0 / d_in)
-        W = rng.uniform(-bound, bound, size=(d_out, d_in))
-        b = np.zeros(d_out)
-        weights.append(W)
-        biases.append(b)
-        m.append((np.zeros_like(W), np.zeros_like(b)))
-        v.append((np.zeros_like(W), np.zeros_like(b)))
-    return ModelParams(weights, biases, AdamState(m, v, 0))
+    for W in params.weights:
+        bound = np.sqrt(3.0 / W.shape[1])
+        W[...] = rng.uniform(-bound, bound, size=W.shape)
+    return params
 
 
 def forward(params, batch):
@@ -139,8 +145,7 @@ def forward(params, batch):
 def backward(params, cache, output_grad):
     """Backpropagate d(loss)/d(embeddings) into parameter gradients.
 
-    Returns (grads, input_grad) where grads is a list of (dW, db) pairs
-    mirroring the parameter layout.
+    Returns (grad, input_grad) where grad has the layout of `params.flat`.
     """
     output_grad = np.asarray(output_grad, dtype=np.float64)
     expected = (cache["batch_shape"][0], params.weights[-1].shape[0])
@@ -148,47 +153,38 @@ def backward(params, cache, output_grad):
         raise ContractViolationError(
             f"output_grad shape {output_grad.shape}, expected {expected}"
         )
-    n_layers = len(params.weights)
-    grads = [None] * n_layers
+    grad = np.empty_like(params.flat)
+    dWs, dbs = params.views(grad)
     delta = output_grad
-    for l in range(n_layers - 1, -1, -1):
-        if l < n_layers - 1:
-            delta = delta * (cache["pre_acts"][l] > 0)
-        x = cache["inputs"][l]
-        dW = delta.T @ x
-        db = delta.sum(axis=0)
-        grads[l] = (dW, db)
+    for l in range(len(dWs) - 1, -1, -1):
+        dWs[l][...] = delta.T @ cache["inputs"][l]
+        dbs[l][...] = delta.sum(axis=0)
         delta = delta @ params.weights[l]
-    return grads, delta
+        if l > 0:
+            delta = delta * (cache["pre_acts"][l - 1] > 0)
+    return grad, delta
 
 
-def adam_step(params, grads, config, epoch):
+def adam_step(params, grad, config, epoch):
     """One in-place Adam update with bias correction.
 
-    `epoch` is the 1-based epoch counter driving the learning-rate drop.
+    `grad` has the layout of `params.flat`; `epoch` is the 1-based epoch
+    counter driving the learning-rate drop.
     """
+    if grad.shape != params.flat.shape:
+        raise ContractViolationError(
+            f"gradient shape {grad.shape}, expected {params.flat.shape}"
+        )
     lr = config.effective_lr(epoch)
     b1, b2, eps = config.beta1, config.beta2, config.epsilon_adam
-    st = params.adam
-    st.step += 1
-    t = st.step
-    for l, (dW, db) in enumerate(grads):
-        if dW.shape != params.weights[l].shape or db.shape != params.biases[l].shape:
-            raise ContractViolationError(f"gradient shape mismatch at layer {l}")
-        mW, mb = st.m[l]
-        vW, vb = st.v[l]
-        mW *= b1
-        mW += (1 - b1) * dW
-        mb *= b1
-        mb += (1 - b1) * db
-        vW *= b2
-        vW += (1 - b2) * dW * dW
-        vb *= b2
-        vb += (1 - b2) * db * db
-        corr1 = 1 - b1 ** t
-        corr2 = 1 - b2 ** t
-        params.weights[l] -= lr * (mW / corr1) / (np.sqrt(vW / corr2) + eps)
-        params.biases[l] -= lr * (mb / corr1) / (np.sqrt(vb / corr2) + eps)
+    params.step += 1
+    params.m *= b1
+    params.m += (1 - b1) * grad
+    params.v *= b2
+    params.v += (1 - b2) * grad * grad
+    corr1 = 1 - b1 ** params.step
+    corr2 = 1 - b2 ** params.step
+    params.flat -= lr * (params.m / corr1) / (np.sqrt(params.v / corr2) + eps)
     return params
 
 
@@ -207,60 +203,55 @@ def gradient_check(loss_fn, params, batch, step=4e-3):
         _, demb = loss_fn(emb)
     except UflstError as exc:
         raise InfeasibleCheckError(f"loss undefined on this batch: {exc}") from exc
-    grads, _ = backward(params, cache, demb)
+    grad, _ = backward(params, cache, demb)
+    work = params.copy()
+    flat = work.flat
 
-    def loss_at(p):
-        e, _ = forward(p, batch)
-        return loss_fn(e)[0]
+    def loss_at(i, value):
+        flat[i] = value
+        return loss_fn(forward(work, batch)[0])[0]
 
-    def central(flat, i, h):
+    def central(i, h):
         orig = flat[i]
-        flat[i] = orig + h
-        hi = loss_at(work)
-        flat[i] = orig - h
-        lo = loss_at(work)
+        diff = loss_at(i, orig + h) - loss_at(i, orig - h)
         flat[i] = orig
-        return (hi - lo) / (2 * h)
+        return diff / (2 * h)
 
-    def richardson(flat, i, h):
-        return (4.0 * central(flat, i, h / 2) - central(flat, i, h)) / 3.0
+    def richardson(i, h):
+        return (4.0 * central(i, h / 2) - central(i, h)) / 3.0
 
     max_err = 0.0
-    work = params.copy()
-    for l in range(len(params.weights)):
-        for arr, ganalytic in ((work.weights[l], grads[l][0]),
-                               (work.biases[l], grads[l][1])):
-            flat = arr.ravel()
-            gflat = ganalytic.ravel()
-            for i in range(flat.size):
-                analytic = gflat[i]
-                err = None
-                for h in (step, 2 * step):
-                    numeric = richardson(flat, i, h)
-                    denom = max(abs(analytic), abs(numeric), 1e-8)
-                    e = abs(analytic - numeric) / denom
-                    err = e if err is None else min(err, e)
-                max_err = max(max_err, err)
+    for i, analytic in enumerate(grad):
+        errs = []
+        for h in (step, 2 * step):
+            numeric = richardson(i, h)
+            errs.append(abs(analytic - numeric)
+                        / max(abs(analytic), abs(numeric), 1e-8))
+        max_err = max(max_err, min(errs))
     return max_err
 
 
 def write_params(f, params):
-    """Versioned binary checkpoint of weights, biases and Adam state."""
+    """Versioned binary checkpoint of weights, biases and Adam state.
+
+    Layout (little-endian): magic, version, layer count, (in, out) per
+    layer, `flat`, then per layer the Adam quadruple (mW, mb, vW, vb), and
+    the step counter.
+    """
     f.write(CHECKPOINT_MAGIC)
     f.write(struct.pack("<I", CHECKPOINT_VERSION))
-    f.write(struct.pack("<I", len(params.weights)))
-    for W in params.weights:
-        f.write(struct.pack("<II", W.shape[1], W.shape[0]))
-    for W, b in zip(params.weights, params.biases):
-        f.write(W.astype("<f8").tobytes())
-        f.write(b.astype("<f8").tobytes())
-    st = params.adam
-    for (mW, mb), (vW, vb) in zip(st.m, st.v):
-        f.write(mW.astype("<f8").tobytes())
-        f.write(mb.astype("<f8").tobytes())
-        f.write(vW.astype("<f8").tobytes())
-        f.write(vb.astype("<f8").tobytes())
-    f.write(struct.pack("<Q", st.step))
+    f.write(struct.pack("<I", len(params.dims) - 1))
+    for d_in, d_out in zip(params.dims[:-1], params.dims[1:]):
+        f.write(struct.pack("<II", d_in, d_out))
+    for a in _float_sections(params):
+        f.write(a.astype("<f8").tobytes())
+    f.write(struct.pack("<Q", params.step))
+
+
+def _float_sections(params):
+    """The float arrays of a checkpoint, in file order."""
+    adam = zip(*params.views(params.m), *params.views(params.v))
+    return [params.flat, *(a for quadruple in adam for a in quadruple)]
 
 
 def _read_exact(f, n, what):
@@ -278,27 +269,13 @@ def read_params(f):
     if version != CHECKPOINT_VERSION:
         raise CheckpointFormatError(f"unsupported checkpoint version {version}")
     (n_layers,) = struct.unpack("<I", _read_exact(f, 4, "layer count"))
-    shapes = []
-    for l in range(n_layers):
-        d_in, d_out = struct.unpack("<II", _read_exact(f, 8, f"layer {l} dims"))
-        shapes.append((d_out, d_in))
-
-    def read_array(shape, what):
-        n = int(np.prod(shape))
-        raw = _read_exact(f, 8 * n, what)
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-
-    weights, biases = [], []
-    for l, (d_out, d_in) in enumerate(shapes):
-        weights.append(read_array((d_out, d_in), f"layer {l} weights"))
-        biases.append(read_array((d_out,), f"layer {l} bias"))
-    m, v = [], []
-    for l, (d_out, d_in) in enumerate(shapes):
-        mW = read_array((d_out, d_in), f"layer {l} adam m")
-        mb = read_array((d_out,), f"layer {l} adam m bias")
-        vW = read_array((d_out, d_in), f"layer {l} adam v")
-        vb = read_array((d_out,), f"layer {l} adam v bias")
-        m.append((mW, mb))
-        v.append((vW, vb))
-    (step,) = struct.unpack("<Q", _read_exact(f, 8, "step counter"))
-    return ModelParams(weights, biases, AdamState(m, v, step))
+    pairs = [struct.unpack("<II", _read_exact(f, 8, f"layer {l} dims"))
+             for l in range(n_layers)]
+    if not pairs or any(prev[1] != d_in for prev, (d_in, _) in zip(pairs, pairs[1:])):
+        raise CheckpointFormatError(f"layer (in, out) dims {pairs} do not chain")
+    params = ModelParams.zeros([pairs[0][0], *(d_out for _, d_out in pairs)])
+    for a in _float_sections(params):
+        raw = _read_exact(f, 8 * a.size, "parameters")
+        a[...] = np.frombuffer(raw, dtype="<f8").reshape(a.shape)
+    (params.step,) = struct.unpack("<Q", _read_exact(f, 8, "step counter"))
+    return params

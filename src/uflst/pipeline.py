@@ -161,8 +161,8 @@ def run_episodic_phase(params, features, pl, config, rng):
         emb, cache = network.forward(params, features[block.ravel()])
         loss, demb = losses.episode_loss(emb, way, cfg.n_s, config.loss,
                                          rng=rng)
-        grads, _ = network.backward(params, cache, demb)
-        network.adam_step(params, grads, config.optimizer, epoch)
+        grad, _ = network.backward(params, cache, demb)
+        network.adam_step(params, grad, config.optimizer, epoch)
         loss_sum += loss
     return params, loss_sum / total, way, total
 
@@ -183,19 +183,21 @@ def run_training(config, dataset, eval_dataset=None, run_dir=None,
     """
     config.validate()
     features = np.asarray(dataset.features, dtype=np.float64)
-    if run_dir:
-        _prepare_run_dir(run_dir)
-
+    layer_dims = config.layer_dims(features.shape[1])
     if resume_from:
         state = load_checkpoint(resume_from)
-        params = state.params
-        history = state.history
-        start_round = state.round + 1
     else:
-        params = network.init_params(config.layer_dims(features.shape[1]),
-                                     config.seed)
-        history = []
-        start_round = 1
+        state = RoundState(0, network.init_params(layer_dims, config.seed), [])
+    if list(state.params.dims) != layer_dims:
+        raise ConfigError(f"checkpoint layer dims {list(state.params.dims)} "
+                          f"differ from the config's {layer_dims}")
+    if state.round >= config.rounds:
+        raise ConfigError(f"checkpoint is at round {state.round}, so "
+                          f"rounds={config.rounds} leaves nothing to run")
+    params, history = state.params, state.history
+    start_round = state.round + 1
+    if run_dir:
+        _prepare_run_dir(run_dir)
 
     round_infos = []
     status = "completed"
@@ -225,9 +227,9 @@ def run_training(config, dataset, eval_dataset=None, run_dir=None,
                 pl, features.shape[0], t,
             )
         if config.reset_adam_each_round:
-            fresh = network.init_params(config.layer_dims(features.shape[1]),
-                                        config.seed)
-            params.adam = fresh.adam
+            params.m[:] = 0.0
+            params.v[:] = 0.0
+            params.step = 0
 
         params, mean_loss, way, n_episodes = run_episodic_phase(
             params, features, pl, config, train_rng

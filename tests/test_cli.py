@@ -1,13 +1,16 @@
 import csv
 import logging
 import os
+import platform
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import uflst
 from uflst import cli
 
 
@@ -180,15 +183,46 @@ def rewrite_labels(path, edit):
         csv.writer(f).writerows(edit(rows))
 
 
+def run_train_process(data_dir, run_dir, overrides, resume=None):
+    """`uflst train` in a child process: (exit code, stderr lines)."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    args = ["train", "--data", str(data_dir), "--run-dir", str(run_dir)]
+    if resume:
+        args += ["--resume", str(resume)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "uflst.cli", *args, *overrides],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert "Traceback" not in proc.stderr
+    return proc.returncode, proc.stderr.strip().splitlines()
+
+
+def assert_stopped_before_any_round(code, lines, run_dir):
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("uflst: error:")
+    assert not list((run_dir / "pseudo_labels").glob("round_*.csv"))
+
+
+# Contradictory or out-of-range settings, by case name.
+BAD_OVERRIDES = {
+    "prototype_loss_triplet_episodes": "loss.kind=prototype",
+    "negative_eval_episodes": "eval_episodes=-5",
+    "negative_episodes_per_round": "episodes_per_round=-3",
+    "beta1_one": "optimizer.beta1=1.0",
+    "beta2_above_one": "optimizer.beta2=1.5",
+    "negative_epsilon_adam": "optimizer.epsilon_adam=-1.0",
+    "negative_epsilon_override": "dbscan.epsilon_override=-0.5",
+}
+
+
 class TestBadRunInputs:
     """Bad label files and contradictory settings stop `train` with one
     named error before any round runs."""
 
     @pytest.mark.parametrize("case", [
         "fewer_label_rows", "more_label_rows", "non_integer_label",
-        "swapped_label_rows", "missing_test_labels",
-        "prototype_loss_triplet_episodes", "negative_eval_episodes",
-        "negative_episodes_per_round",
+        "swapped_label_rows", "missing_test_labels", *BAD_OVERRIDES,
     ])
     def test_exits_1_before_any_round(self, synth_dir, tmp_path, case):
         data_dir = tmp_path / "data"
@@ -207,25 +241,42 @@ class TestBadRunInputs:
                            lambda r: r[:5] + [r[6], r[5]] + r[7:])
         elif case == "missing_test_labels":
             os.remove(data_dir / "test.labels.csv")
-        elif case == "negative_eval_episodes":
-            overrides.append("eval_episodes=-5")
-        elif case == "negative_episodes_per_round":
-            overrides.append("episodes_per_round=-3")
         else:
-            overrides.append("loss.kind=prototype")
+            overrides.append(BAD_OVERRIDES[case])
         run_dir = tmp_path / "run"
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-m", "uflst.cli", "train", "--data",
-             str(data_dir), "--run-dir", str(run_dir), *overrides],
-            capture_output=True, text=True,
-            env=dict(os.environ, PYTHONPATH=src),
-        )
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        lines = proc.stderr.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("uflst: error:")
-        assert not os.path.exists(run_dir / "pseudo_labels" / "round_0001.csv")
+        code, lines = run_train_process(data_dir, run_dir, overrides)
+        assert_stopped_before_any_round(code, lines, run_dir)
+
+
+class TestResumeGuards:
+    """`--resume` stops before any round when the checkpoint cannot
+    continue the configured run."""
+
+    @pytest.mark.parametrize("checkpoint, overrides", [
+        # trained with hidden_dims=[16] embedding_dim=8
+        ("checkpoints/round_0001.ckpt", ["hidden_dims=[32]"]),
+        # already at round 2
+        ("checkpoints/round_0002.ckpt", ["rounds=2"]),
+        ("final_model.ckpt", ["rounds=1"]),
+    ], ids=["other_architecture", "round_reaches_rounds",
+            "round_past_rounds"])
+    def test_exits_1_before_any_round(self, synth_dir, trained_run, tmp_path,
+                                      checkpoint, overrides):
+        run_dir = tmp_path / "resumed"
+        code, lines = run_train_process(
+            synth_dir, run_dir, [*TRAIN_ARGS, "rounds=3", *overrides],
+            resume=trained_run / checkpoint)
+        assert_stopped_before_any_round(code, lines, run_dir)
+
+    def test_matching_checkpoint_resumes(self, synth_dir, trained_run,
+                                         tmp_path):
+        run_dir = tmp_path / "resumed"
+        code, lines = run_train_process(
+            synth_dir, run_dir, [*TRAIN_ARGS, "rounds=3"],
+            resume=trained_run / "checkpoints" / "round_0002.ckpt")
+        assert code == 0, lines
+        assert [p.name for p in (run_dir / "pseudo_labels").iterdir()] == \
+            ["round_0003.csv"]
 
 
 class TestRunLog:
@@ -239,6 +290,26 @@ class TestRunLog:
             assert text.count(" round 1:") == 1
         assert not any(isinstance(h, logging.FileHandler)
                        for h in logging.getLogger("uflst").handlers)
+
+    def test_warnings_reach_run_log(self, synth_dir, tmp_path):
+        showwarning = warnings.showwarning
+        run_dir = tmp_path / "run"
+        assert run_cli(["train", "--data", str(synth_dir), "--run-dir",
+                        str(run_dir), *TRAIN_ARGS, "knn_k=500"]) == 0
+        assert "k=500 clamped to 71 for N=72 points" in \
+            (run_dir / "run.log").read_text()
+        assert warnings.showwarning is showwarning
+        assert not logging.getLogger("py.warnings").handlers
+
+    def test_run_meta_records_versions(self, trained_run):
+        import yaml
+        with open(trained_run / "run_meta.yaml") as f:
+            meta = yaml.safe_load(f)
+        assert meta["argv"][:1] == ["train"]
+        assert meta["numpy"] == np.__version__
+        assert meta["uflst"] == uflst.__version__
+        assert meta["python"] == platform.python_version()
+        assert meta["blas"] and meta["uflst_threads"]
 
 
 class TestGradcheckCommand:

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from uflst import cluster, episodes, evaluate, network
+from uflst import cluster, episodes, evaluate, metric, network
 from uflst.errors import InputError, ProtocolInfeasibleError
 
 
@@ -74,7 +75,29 @@ class TestNmi:
             evaluate.nmi([0, 1], [0, 1, 2])
 
 
+def reference_nearest_prototype_predict(support_emb, support_labels,
+                                        query_emb):
+    """The per-class loop that `metric.class_means` replaced."""
+    classes = np.unique(support_labels)
+    protos = np.stack([
+        support_emb[support_labels == c].mean(axis=0) for c in classes
+    ])
+    return classes[np.argmin(metric.sq_distances(query_emb, protos), axis=1)]
+
+
 class TestNearestPrototype:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(1, 7))
+    def test_matches_reference(self, seed, dim, shot):
+        rng = np.random.default_rng(seed)
+        way = int(rng.integers(2, 8))
+        labels = np.repeat(rng.choice(50, size=way, replace=False), shot)
+        sup = np.round(rng.normal(size=(labels.size, dim)) * 3.0)
+        qry = rng.normal(size=(10, dim)) * 3.0
+        assert np.array_equal(
+            evaluate.nearest_prototype_predict(sup, labels, qry),
+            reference_nearest_prototype_predict(sup, labels, qry))
+
     def test_separable(self):
         sup = np.array([[0.0, 0.0], [10.0, 0.0]])
         sup_lab = np.array([3, 7])
@@ -94,8 +117,8 @@ class TestNearestPrototype:
 class TestFewShotAccuracy:
     def identity_params(self, d):
         p = network.init_params([d, d], seed=0)
-        p.weights[0] = np.eye(d)
-        p.biases[0] = np.zeros(d)
+        p.weights[0][...] = np.eye(d)
+        p.biases[0][...] = 0.0
         return p
 
     def test_perfectly_separable(self):

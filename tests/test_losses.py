@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uflst import losses
 from uflst.errors import ContractViolationError
@@ -22,6 +23,108 @@ def fd_embedding_grad(loss_of, emb, step=1e-6):
 
 def rel_err(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b), 1e-12)
+
+
+def reference_prototype_loss(emb, labels, support_mask):
+    """The per-class prototype loss that the segment-sum version replaced."""
+    emb = np.asarray(emb, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    support_mask = np.asarray(support_mask, dtype=bool)
+    classes = np.unique(labels)
+    if classes.size < 2:
+        raise ContractViolationError("prototype loss needs at least 2 classes")
+    class_list = np.unique(labels[support_mask])
+    query_idx = np.flatnonzero(~support_mask)
+    if query_idx.size == 0:
+        raise ContractViolationError("no query points")
+    unsupported = np.setdiff1d(labels[query_idx], class_list)
+    if unsupported.size:
+        raise ContractViolationError(
+            f"query class {unsupported[0]} has no support examples"
+        )
+
+    support_of = [support_mask & (labels == c) for c in class_list]
+    protos = np.stack([emb[rows].mean(axis=0) for rows in support_of])
+
+    zq = emb[query_idx]
+    diff = zq[:, None, :] - protos[None, :, :]
+    d = np.sum(diff * diff, axis=2)
+    logits = -d
+    shift = logits - logits.max(axis=1, keepdims=True)
+    lse = np.log(np.sum(np.exp(shift), axis=1)) + logits.max(axis=1)
+    target = np.searchsorted(class_list, labels[query_idx])
+    loss = float(np.mean(lse - logits[np.arange(zq.shape[0]), target]))
+
+    p = np.exp(logits - lse[:, None])
+    w = -p
+    w[np.arange(zq.shape[0]), target] += 1.0
+    n_q = zq.shape[0]
+    grad = np.zeros_like(emb)
+    grad_q = 2.0 / n_q * np.einsum("qk,qkd->qd", w, diff)
+    grad[query_idx] += grad_q
+    grad_c = -2.0 / n_q * np.einsum("qk,qkd->kd", w, diff)
+    for k, rows in enumerate(support_of):
+        grad[rows] += grad_c[k] / np.count_nonzero(rows)
+    return loss, grad
+
+
+def random_embeddings(rng, n, dim):
+    """Gaussian rows at a random scale, sometimes rounded to integers so
+    that ties and signed zeros occur."""
+    emb = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-2, 2)
+    return np.round(emb) if rng.random() < 0.3 else emb
+
+
+@st.composite
+def general_layouts(draw):
+    """Any labels and support mask, including ones the loss rejects."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 40))
+    labels = rng.integers(0, draw(st.integers(1, 6)), size=n) * 3 - 2
+    support = rng.random(n) < draw(st.floats(0.1, 0.9))
+    return random_embeddings(rng, n, draw(st.integers(1, 4))), labels, support
+
+
+@st.composite
+def block_layouts(draw):
+    """A flattened (n_c, n_e) episode block with n_s support columns."""
+    n_c, n_e = draw(st.integers(2, 60)), draw(st.integers(2, 6))
+    n_s = draw(st.integers(1, n_e - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels, support = losses.episode_layout(n_c, n_e, n_s)
+    emb = random_embeddings(rng, n_c * n_e, draw(st.integers(1, 16)))
+    return emb, labels, support
+
+
+class TestPrototypeMatchesReference:
+    def check(self, emb, labels, support):
+        try:
+            expected_loss, expected_grad = reference_prototype_loss(
+                emb, labels, support)
+        except ContractViolationError:
+            with pytest.raises(ContractViolationError):
+                losses.prototype_loss(emb, labels, support)
+            return
+        loss, grad = losses.prototype_loss(emb, labels, support)
+        counts = np.unique(labels[support], return_counts=True)[1]
+        if emb.shape[1] == 1 and counts.max() >= 8:
+            # numpy sums a width-1 column pairwise from 8 rows on, so the
+            # reference means differ from the row-order sums by rounding
+            assert loss == pytest.approx(expected_loss, rel=1e-8, abs=1e-12)
+            assert np.allclose(grad, expected_grad, rtol=1e-8, atol=1e-12)
+        else:
+            assert loss == expected_loss
+            assert grad.tobytes() == expected_grad.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(general_layouts())
+    def test_general_layouts(self, case):
+        self.check(*case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(block_layouts())
+    def test_block_layouts(self, case):
+        self.check(*case)
 
 
 class TestPrototypeLoss:

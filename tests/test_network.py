@@ -1,5 +1,9 @@
+import io
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uflst import losses, network
 from uflst.errors import (
@@ -12,21 +16,64 @@ from uflst.errors import (
 
 
 def params_equal(a, b):
-    if len(a.weights) != len(b.weights) or a.adam.step != b.adam.step:
-        return False
-    for wa, wb in zip(a.weights, b.weights):
-        if not np.array_equal(wa, wb):
-            return False
-    for ba, bb in zip(a.biases, b.biases):
-        if not np.array_equal(ba, bb):
-            return False
-    for (mwa, mba), (mwb, mbb) in zip(a.adam.m, b.adam.m):
-        if not (np.array_equal(mwa, mwb) and np.array_equal(mba, mbb)):
-            return False
-    for (vwa, vba), (vwb, vbb) in zip(a.adam.v, b.adam.v):
-        if not (np.array_equal(vwa, vwb) and np.array_equal(vba, vbb)):
-            return False
-    return True
+    return (a.dims == b.dims and a.step == b.step
+            and np.array_equal(a.flat, b.flat)
+            and np.array_equal(a.m, b.m) and np.array_equal(a.v, b.v))
+
+
+def reference_adam_step(weights, biases, m, v, t, grads, config, epoch):
+    """The per-layer Adam update that the flat-buffer `adam_step` replaced,
+    over lists of per-layer arrays (m and v hold (W, b) pairs); `t` is the
+    step count after this update."""
+    lr = config.effective_lr(epoch)
+    b1, b2, eps = config.beta1, config.beta2, config.epsilon_adam
+    for l, (dW, db) in enumerate(grads):
+        mW, mb = m[l]
+        vW, vb = v[l]
+        mW *= b1
+        mW += (1 - b1) * dW
+        mb *= b1
+        mb += (1 - b1) * db
+        vW *= b2
+        vW += (1 - b2) * dW * dW
+        vb *= b2
+        vb += (1 - b2) * db * db
+        corr1 = 1 - b1 ** t
+        corr2 = 1 - b2 ** t
+        weights[l] -= lr * (mW / corr1) / (np.sqrt(vW / corr2) + eps)
+        biases[l] -= lr * (mb / corr1) / (np.sqrt(vb / corr2) + eps)
+
+
+def reference_write_params(f, weights, biases, m, v, step):
+    """The per-layer checkpoint writer that the flat `write_params` replaced."""
+    f.write(network.CHECKPOINT_MAGIC)
+    f.write(struct.pack("<I", network.CHECKPOINT_VERSION))
+    f.write(struct.pack("<I", len(weights)))
+    for W in weights:
+        f.write(struct.pack("<II", W.shape[1], W.shape[0]))
+    for W, b in zip(weights, biases):
+        f.write(W.astype("<f8").tobytes())
+        f.write(b.astype("<f8").tobytes())
+    for (mW, mb), (vW, vb) in zip(m, v):
+        f.write(mW.astype("<f8").tobytes())
+        f.write(mb.astype("<f8").tobytes())
+        f.write(vW.astype("<f8").tobytes())
+        f.write(vb.astype("<f8").tobytes())
+    f.write(struct.pack("<Q", step))
+
+
+def per_layer(p):
+    """Independent per-layer copies (weights, biases, m, v) of `p`."""
+    mW, mb = p.views(p.m)
+    vW, vb = p.views(p.v)
+    return ([W.copy() for W in p.weights], [b.copy() for b in p.biases],
+            [(w.copy(), b.copy()) for w, b in zip(mW, mb)],
+            [(w.copy(), b.copy()) for w, b in zip(vW, vb)])
+
+
+def flat_of(weights, biases):
+    return np.concatenate([a.ravel() for W, b in zip(weights, biases)
+                           for a in (W, b)])
 
 
 class TestInit:
@@ -60,8 +107,8 @@ class TestInit:
 class TestForward:
     def test_identity_layer(self):
         p = network.init_params([3, 3], seed=0)
-        p.weights[0] = np.eye(3)
-        p.biases[0] = np.zeros(3)
+        p.weights[0][...] = np.eye(3)
+        p.biases[0][...] = 0.0
         x = np.random.default_rng(0).normal(size=(5, 3))
         out, _ = network.forward(p, x)
         assert np.allclose(out, x)
@@ -97,17 +144,16 @@ class TestBackward:
         p = network.init_params([4, 6, 2], seed=1)
         x = np.random.default_rng(1).normal(size=(5, 4))
         _, cache = network.forward(p, x)
-        grads, _ = network.backward(p, cache, np.zeros((5, 2)))
-        for dW, db in grads:
-            assert np.all(dW == 0.0) and np.all(db == 0.0)
+        grad, _ = network.backward(p, cache, np.zeros((5, 2)))
+        assert grad.shape == p.flat.shape and np.all(grad == 0.0)
 
     def test_linear_layer_sum_loss(self):
         # loss = sum of outputs -> dW[j, i] = sum_b x[b, i], db[j] = B
         p = network.init_params([4, 3], seed=2)
         x = np.random.default_rng(2).normal(size=(6, 4))
         _, cache = network.forward(p, x)
-        grads, _ = network.backward(p, cache, np.ones((6, 3)))
-        dW, db = grads[0]
+        grad, _ = network.backward(p, cache, np.ones((6, 3)))
+        (dW,), (db,) = p.views(grad)
         assert np.allclose(dW, np.tile(x.sum(axis=0), (3, 1)))
         assert np.allclose(db, 6.0)
 
@@ -131,24 +177,20 @@ class TestBackward:
 
         emb, cache = network.forward(p, x)
         _, demb = losses.prototype_loss(emb, labels, support)
-        grads, _ = network.backward(p, cache, demb)
-        analytic = np.concatenate([g.ravel() for dW, db in grads
-                                   for g in (dW, db)])
+        analytic, _ = network.backward(p, cache, demb)
 
         step = 1e-4
         numeric = []
         work = p.copy()
-        for l in range(len(p.weights)):
-            for arr in (work.weights[l], work.biases[l]):
-                flat = arr.ravel()
-                for i in range(flat.size):
-                    orig = flat[i]
-                    flat[i] = orig + step
-                    hi = loss_of(work)
-                    flat[i] = orig - step
-                    lo = loss_of(work)
-                    flat[i] = orig
-                    numeric.append((hi - lo) / (2 * step))
+        flat = work.flat
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            hi = loss_of(work)
+            flat[i] = orig - step
+            lo = loss_of(work)
+            flat[i] = orig
+            numeric.append((hi - lo) / (2 * step))
         numeric = np.array(numeric)
         rel = np.linalg.norm(analytic - numeric) / max(
             np.linalg.norm(analytic), np.linalg.norm(numeric)
@@ -160,22 +202,26 @@ class TestAdam:
     def test_zero_gradient_no_change(self):
         p = network.init_params([3, 2], seed=4)
         before = p.copy()
-        grads = [(np.zeros((2, 3)), np.zeros(2))]
-        network.adam_step(p, grads, network.OptimizerConfig(), epoch=1)
-        assert params_equal(
-            network.ModelParams(p.weights, p.biases, before.adam),
-            before,
-        ) or np.allclose(p.weights[0], before.weights[0])
-        assert np.array_equal(p.weights[0], before.weights[0])
-        assert p.adam.step == 1
+        network.adam_step(p, np.zeros_like(p.flat), network.OptimizerConfig(),
+                          epoch=1)
+        assert np.array_equal(p.flat, before.flat)
+        assert p.step == 1
+
+    def test_gradient_shape_mismatch_rejected(self):
+        p = network.init_params([3, 2], seed=4)
+        with pytest.raises(ContractViolationError):
+            network.adam_step(p, np.zeros(p.flat.size - 1),
+                              network.OptimizerConfig(), epoch=1)
+        assert p.step == 0
 
     def test_constant_gradient_sign_limit(self):
         p = network.init_params([2, 1], seed=5)
         cfg = network.OptimizerConfig(learning_rate=0.01)
         g = np.array([[0.3, -0.7]])
+        grad = np.concatenate([g.ravel(), np.zeros(1)])
         before = p.weights[0].copy()
         for _ in range(200):
-            network.adam_step(p, [(g, np.zeros(1))], cfg, epoch=1)
+            network.adam_step(p, grad, cfg, epoch=1)
         delta = p.weights[0] - before
         per_step = delta / 200
         assert np.allclose(per_step, -np.sign(g) * cfg.learning_rate, rtol=0.05)
@@ -190,7 +236,7 @@ class TestAdam:
         loss0 = 0.5 * np.sum(w_oracle**2)
         for t in range(1, 11):
             g = p.weights[0].ravel().copy()
-            network.adam_step(p, [(g.reshape(1, 3), np.zeros(1))], cfg, epoch=1)
+            network.adam_step(p, np.append(g, 0.0), cfg, epoch=1)
             go = w_oracle.copy()
             m = cfg.beta1 * m + (1 - cfg.beta1) * go
             v = cfg.beta2 * v + (1 - cfg.beta2) * go * go
@@ -215,10 +261,9 @@ class TestAdam:
         for _ in range(50):
             x = rng.normal(size=(6, 5))
             emb, cache = network.forward(p, x)
-            grads, _ = network.backward(p, cache, 2 * emb)
-            network.adam_step(p, grads, cfg, epoch=1)
-        for W, b in zip(p.weights, p.biases):
-            assert np.all(np.isfinite(W)) and np.all(np.isfinite(b))
+            grad, _ = network.backward(p, cache, 2 * emb)
+            network.adam_step(p, grad, cfg, epoch=1)
+        assert np.all(np.isfinite(p.flat))
 
     def test_training_determinism(self):
         def run():
@@ -228,11 +273,58 @@ class TestAdam:
             for _ in range(20):
                 x = rng.normal(size=(5, 4))
                 emb, cache = network.forward(p, x)
-                grads, _ = network.backward(p, cache, emb)
-                network.adam_step(p, grads, cfg, epoch=1)
+                grad, _ = network.backward(p, cache, emb)
+                network.adam_step(p, grad, cfg, epoch=1)
             return p
 
         assert params_equal(run(), run())
+
+
+
+layer_widths = st.lists(st.integers(1, 6), min_size=4, max_size=4)
+
+
+class TestMatchesPerLayerReference:
+    """The flat buffers keep the per-layer arithmetic and checkpoint bytes
+    bit for bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(layer_widths, st.integers(0, 2**32 - 1), st.floats(0.0, 0.99),
+           st.floats(0.0, 0.9999), st.integers(1, 12))
+    def test_adam_200_steps(self, dims, seed, beta1, beta2, decay_after):
+        p = network.init_params(dims, seed=seed)
+        weights, biases, m, v = per_layer(p)
+        cfg = network.OptimizerConfig(learning_rate=0.01, beta1=beta1,
+                                      beta2=beta2,
+                                      decay_after_epoch=decay_after)
+        rng = np.random.default_rng(seed)
+        for s in range(200):
+            grad = rng.normal(size=p.flat.size) * 10.0 ** rng.integers(-6, 3)
+            dW, db = p.views(grad)
+            network.adam_step(p, grad, cfg, epoch=s // 20 + 1)
+            reference_adam_step(weights, biases, m, v, s + 1,
+                                list(zip(dW, db)), cfg, s // 20 + 1)
+        ref_m = flat_of(*zip(*m))
+        ref_v = flat_of(*zip(*v))
+        assert p.step == 200
+        assert p.flat.tobytes() == flat_of(weights, biases).tobytes()
+        assert p.m.tobytes() == ref_m.tobytes()
+        assert p.v.tobytes() == ref_v.tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(layer_widths, st.integers(0, 2**32 - 1), st.integers(0, 5))
+    def test_checkpoint_bytes(self, dims, seed, steps):
+        p = network.init_params(dims, seed=seed)
+        rng = np.random.default_rng(seed)
+        for _ in range(steps):
+            network.adam_step(p, rng.normal(size=p.flat.size),
+                              network.OptimizerConfig(), epoch=1)
+        ours, ref = io.BytesIO(), io.BytesIO()
+        network.write_params(ours, p)
+        reference_write_params(ref, *per_layer(p), p.step)
+        assert ours.getvalue() == ref.getvalue()
+        loaded = network.read_params(io.BytesIO(ref.getvalue()))
+        assert params_equal(loaded, p)
 
 
 class TestGradientCheck:
@@ -297,8 +389,8 @@ class TestCheckpoint:
         # give the optimizer state some content
         x = np.random.default_rng(30).normal(size=(5, 4))
         emb, cache = network.forward(p, x)
-        grads, _ = network.backward(p, cache, emb)
-        network.adam_step(p, grads, network.OptimizerConfig(), epoch=1)
+        grad, _ = network.backward(p, cache, emb)
+        network.adam_step(p, grad, network.OptimizerConfig(), epoch=1)
         path = tmp_path / "model.ckpt"
         with open(path, "wb") as f:
             network.write_params(f, p)
@@ -310,6 +402,16 @@ class TestCheckpoint:
         with open(path2, "wb") as f:
             network.write_params(f, loaded)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_unchained_layer_dims_rejected(self):
+        # a complete file whose second layer takes 5 inputs from 3 outputs
+        weights = [np.zeros((3, 4)), np.zeros((2, 5))]
+        biases = [np.zeros(3), np.zeros(2)]
+        adam = list(zip(weights, biases))
+        f = io.BytesIO()
+        reference_write_params(f, weights, biases, adam, adam, 0)
+        with pytest.raises(CheckpointFormatError):
+            network.read_params(io.BytesIO(f.getvalue()))
 
     def test_bad_magic(self, tmp_path):
         p = network.init_params([4, 3], seed=31)
