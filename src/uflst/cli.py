@@ -61,7 +61,7 @@ def _load_labels(path, n):
 
 def _load_dataset_dir(path, split, need_labels=False):
     features_path = os.path.join(path, f"{split}.raw64")
-    ds = data.load_matrix_dataset(features_path, "raw64", split=split)
+    ds = data.load_matrix_dataset(features_path, "raw64")
     labels_path = os.path.join(path, f"{split}.labels.csv")
     if os.path.exists(labels_path):
         ds.labels = _load_labels(labels_path, ds.n)

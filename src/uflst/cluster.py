@@ -54,9 +54,8 @@ class PseudoLabeledSet:
 
     def __post_init__(self):
         if self.class_members is None:
-            self.class_members = [
-                self.kept_indices[self.labels == c] for c in range(self.num_clusters)
-            ]
+            self.class_members = [self.kept_indices[rows] for rows
+                                  in metric.label_groups(self.labels)]
 
 
 def _pairs(values):

@@ -7,6 +7,7 @@ into its run directory, so experiment records stay diffable.
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import yaml
 
@@ -57,9 +58,20 @@ def _check_types(value, default, path=""):
             _check_types(item, default[0], f"{path}[{i}]")
 
 
+class _Loader(yaml.SafeLoader):
+    """`yaml.safe_load`'s YAML 1.1, except that exponent notation without a
+    dot or an exponent sign (`1e-3`, `2.5e3`) is a float, as in YAML 1.2."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."))
+
+
 def _parse_yaml(stream, where):
     try:
-        return yaml.safe_load(stream)
+        return yaml.load(stream, Loader=_Loader)
     except (yaml.YAMLError, UnicodeDecodeError) as exc:
         mark = getattr(exc, "problem_mark", None)
         at = (f" at line {mark.line + 1}, column {mark.column + 1}"

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DatasetParseError, InputError
+from .evaluate import RoundMetrics
 
 RAW64_MAGIC = b"UFLSTD\0\0"
 IDX_UBYTE = 0x08
@@ -24,7 +25,6 @@ IDX_UBYTE = 0x08
 class Dataset:
     features: np.ndarray          # (N, D) float64
     labels: np.ndarray = None     # evaluation only
-    split: str = "train"
 
     @property
     def n(self):
@@ -39,7 +39,6 @@ class Dataset:
         return Dataset(
             features=self.features[rows],
             labels=None if self.labels is None else self.labels[rows],
-            split=self.split,
         )
 
 
@@ -75,18 +74,23 @@ class SyntheticSpec:
         if self.kind == "blobs":
             if self.noise_dims < 0 or self.noise_dims >= self.dim:
                 raise ConfigError("noise_dims must lie in [0, dim)")
-            if self.separation < 0 or self.within_std < 0 or self.noise_std < 0:
-                raise ConfigError("scales must be nonnegative")
+            if not all(0 <= x < math.inf for x in (
+                    self.separation, self.within_std, self.noise_std)):
+                raise ConfigError("scales must be nonnegative and finite")
             return
         if not (0 < self.tight_classes <= self.num_classes):
             raise ConfigError("tight_classes must lie in (0, num_classes]")
         if self.heldout_classes != self.tight_classes:
             raise ConfigError("rays pin one heldout class to each tight ray")
-        if self.radius_min <= 0 or self.radius_ratio < 1:
-            raise ConfigError("radius_min must be positive, radius_ratio >= 1")
-        if min(self.cone, self.tight_cone, self.heldout_offset,
-               self.radial_noise, self.heldout_radial_noise) < 0:
-            raise ConfigError("angular and noise scales must be nonnegative")
+        if not (0 < self.radius_min < math.inf
+                and 1 <= self.radius_ratio < math.inf):
+            raise ConfigError("radius_min must be positive, radius_ratio >= 1, "
+                              "both finite")
+        if not all(0 <= x < math.inf for x in (
+                self.cone, self.tight_cone, self.heldout_offset,
+                self.radial_noise, self.heldout_radial_noise)):
+            raise ConfigError("angular and noise scales must be nonnegative "
+                              "and finite")
         if self.direction_candidates < self.num_classes:
             raise ConfigError("direction_candidates must cover num_classes")
 
@@ -115,7 +119,7 @@ def _generate_blobs(spec):
     norms[norms == 0] = 1.0
     centers = spec.separation * dirs / norms
 
-    def build(class_rows, split):
+    def build(class_rows):
         feats, labs = [], []
         for j, c in enumerate(class_rows):
             pts = np.zeros((spec.points_per_class, spec.dim))
@@ -132,16 +136,14 @@ def _generate_blobs(spec):
             return Dataset(
                 features=np.empty((0, spec.dim)),
                 labels=np.empty(0, dtype=np.int64),
-                split=split,
             )
         return Dataset(
             features=np.concatenate(feats),
             labels=np.concatenate(labs),
-            split=split,
         )
 
-    train = build(range(spec.num_classes), "train")
-    test = build(range(spec.num_classes, total_classes), "test")
+    train = build(range(spec.num_classes))
+    test = build(range(spec.num_classes, total_classes))
     return train, test
 
 
@@ -196,7 +198,7 @@ def _generate_rays(spec):
     )
     heldout_dirs /= np.linalg.norm(heldout_dirs, axis=1, keepdims=True)
 
-    def build(dirs, split, noise):
+    def build(dirs, noise):
         feats, labs = [], []
         for j in range(len(dirs)):
             u = rng.uniform(0.0, 1.0, size=(spec.points_per_class, 1))
@@ -209,11 +211,10 @@ def _generate_rays(spec):
         return Dataset(
             features=np.concatenate(feats),
             labels=np.concatenate(labs),
-            split=split,
         )
 
-    train = build(train_dirs, "train", spec.radial_noise)
-    test = build(heldout_dirs, "test", spec.heldout_radial_noise)
+    train = build(train_dirs, spec.radial_noise)
+    test = build(heldout_dirs, spec.heldout_radial_noise)
     return train, test
 
 
@@ -245,15 +246,15 @@ def _load_raw64(path):
     return np.frombuffer(body, dtype="<f8").astype(np.float64).reshape(n, d)
 
 
-def _load_dsv(path, delimiter=",", label_column=False):
-    rows, labels = [], []
+def _load_dsv(path):
+    rows = []
     width = None
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
-            parts = line.split(delimiter)
+            parts = line.split(",")
             if width is None:
                 width = len(parts)
             elif len(parts) != width:
@@ -267,15 +268,10 @@ def _load_dsv(path, delimiter=",", label_column=False):
                 raise DatasetParseError(
                     f"{path}: non-numeric field at line {lineno}: {exc}"
                 ) from exc
-            if label_column:
-                labels.append(int(vals[-1]))
-                vals = vals[:-1]
             rows.append(vals)
     if not rows:
         raise DatasetParseError(f"{path}: no data rows")
-    feats = np.array(rows, dtype=np.float64)
-    labs = np.array(labels, dtype=np.int64) if label_column else None
-    return feats, labs
+    return np.array(rows, dtype=np.float64)
 
 
 def _load_idx(path):
@@ -303,21 +299,19 @@ def _load_idx(path):
     return pixels.reshape(count, per_item)
 
 
-def load_matrix_dataset(path, fmt, delimiter=",", label_column=False,
-                        split="train"):
+def load_matrix_dataset(path, fmt):
     """Load a dataset file; fmt is one of raw64 | dsv | idx."""
-    labels = None
     if fmt == "raw64":
         feats = _load_raw64(path)
     elif fmt == "dsv":
-        feats, labels = _load_dsv(path, delimiter, label_column)
+        feats = _load_dsv(path)
     elif fmt == "idx":
         feats = _load_idx(path)
     else:
         raise DatasetParseError(f"unknown dataset format {fmt!r}")
     if not np.all(np.isfinite(feats)):
         raise InputError(f"{path}: dataset contains non-finite values")
-    return Dataset(features=feats, labels=labels, split=split)
+    return Dataset(features=feats)
 
 
 def format_number(x):
@@ -329,15 +323,37 @@ def format_number(x):
     return format(float(x), ".17g")
 
 
+def format_history(history, newline="\n"):
+    """The metrics history as CSV text: the header, then one row per round."""
+    rows = [RoundMetrics.FIELDS, *([format_number(v) for v in m.as_row()]
+                                   for m in history)]
+    return "".join(",".join(row) + newline for row in rows)
+
+
+def parse_history(text):
+    """The RoundMetrics rows of `format_history` text, either line end."""
+    lines = text.splitlines()
+    if not lines or tuple(lines[0].split(",")) != RoundMetrics.FIELDS:
+        raise InputError("unexpected metrics header")
+    history = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = zip(RoundMetrics.FIELDS, line.split(","), strict=True)
+        try:
+            history.append(RoundMetrics(*(
+                int(c) if name in ("round", "num_clusters", "num_outliers")
+                else float(c or "nan") for name, c in fields)))
+        except ValueError as exc:
+            raise InputError(f"line {lineno} is not {len(RoundMetrics.FIELDS)} "
+                             f"numbers ({exc})") from exc
+    return history
+
+
 def write_metrics(history, path):
     """One CSV row per round, header first, round-trippable numbers."""
     if not history:
         raise InputError("metrics history is empty")
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(history[0].FIELDS)
-        for row in history:
-            writer.writerow([format_number(v) for v in row.as_row()])
+        f.write(format_history(history, "\r\n"))
 
 
 def write_pseudo_labels(path, pl, n_total, round_index):

@@ -78,8 +78,7 @@ def few_shot_accuracy(params, features, labels, protocol, n_episodes, rng):
     labels = np.asarray(labels, dtype=np.int64)
     way, shot = protocol.n_c_test, protocol.n_s
     per_class = shot + protocol.n_q
-    members = episodes.eligible_members(
-        [np.flatnonzero(labels == c) for c in np.unique(labels)], per_class)
+    members = episodes.eligible_members(metric.label_groups(labels), per_class)
     if len(members) < way:
         raise ProtocolInfeasibleError(
             f"{len(members)} classes with >= {per_class} examples < way {way}"

@@ -6,6 +6,7 @@ pass can chain them; distances are raw squared Euclidean throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,8 @@ class LossConfig:
     def validate(self):
         if self.kind not in LOSS_KINDS:
             raise ConfigError(f"unknown loss kind {self.kind!r}")
-        if self.margin < 0:
-            raise ConfigError("margin must be nonnegative")
+        if not 0 <= self.margin < math.inf:
+            raise ConfigError("margin must be nonnegative and finite")
 
 
 def prototype_loss(emb, labels, support_mask):

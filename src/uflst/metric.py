@@ -67,6 +67,15 @@ def class_means(points, labels):
     return classes, of_row, counts, sums / counts[:, None]
 
 
+def label_groups(labels):
+    """The row indices of each distinct label, labels in ascending order and
+    rows ascending within each: `[np.flatnonzero(labels == c) for c in
+    np.unique(labels)]` from one stable sort."""
+    order = np.argsort(labels, kind="stable")
+    _, starts = np.unique(labels[order], return_index=True)
+    return np.split(order, starts)[1:]
+
+
 def _check_finite(values):
     values = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(values)):

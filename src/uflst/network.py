@@ -7,6 +7,8 @@ capture the whole optimizer trajectory.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -56,12 +58,17 @@ class ModelParams:
     def zeros(cls, dims):
         """All-zero parameters and Adam state for the layer widths `dims`."""
         dims = tuple(int(d) for d in dims)
-        size = sum(d_out * (d_in + 1) for d_in, d_out in zip(dims[:-1], dims[1:]))
+        size = _flat_size(dims)
         return cls(dims, np.zeros(size), np.zeros(size), np.zeros(size))
 
     def copy(self):
         return ModelParams(self.dims, self.flat.copy(), self.m.copy(),
                            self.v.copy(), self.step)
+
+
+def _flat_size(dims):
+    """Floats in a buffer of `flat`'s layout for the layer widths `dims`."""
+    return sum(d_out * (d_in + 1) for d_in, d_out in zip(dims[:-1], dims[1:]))
 
 
 @dataclass
@@ -74,16 +81,16 @@ class OptimizerConfig:
     epsilon_adam: float = 1e-8
 
     def validate(self):
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be positive and finite")
         if not (0 < self.decay_factor <= 1):
             raise ConfigError("decay_factor must lie in (0, 1]")
         if self.decay_after_epoch < 1:
             raise ConfigError("decay_after_epoch must be a positive integer")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigError("beta1 and beta2 must lie in [0, 1)")
-        if not self.epsilon_adam > 0:
-            raise ConfigError("epsilon_adam must be positive")
+        if not 0 < self.epsilon_adam < math.inf:
+            raise ConfigError("epsilon_adam must be positive and finite")
 
     def effective_lr(self, epoch):
         """Step size for a given 1-based epoch: a single multiplicative drop
@@ -273,7 +280,17 @@ def read_params(f):
              for l in range(n_layers)]
     if not pairs or any(prev[1] != d_in for prev, (d_in, _) in zip(pairs, pairs[1:])):
         raise CheckpointFormatError(f"layer (in, out) dims {pairs} do not chain")
-    params = ModelParams.zeros([pairs[0][0], *(d_out for _, d_out in pairs)])
+    dims = [pairs[0][0], *(d_out for _, d_out in pairs)]
+    # parameters, both Adam moments and the step counter, checked against
+    # the bytes left before anything of that size is allocated
+    needed = 8 * (3 * _flat_size(dims) + 1)
+    here = f.tell()
+    left = f.seek(0, os.SEEK_END) - here
+    f.seek(here)
+    if left < needed:
+        raise CheckpointFormatError(f"layer dims {pairs} need {needed} more "
+                                    f"bytes, the file has {left}")
+    params = ModelParams.zeros(dims)
     for a in _float_sections(params):
         raw = _read_exact(f, 8 * a.size, "parameters")
         a[...] = np.frombuffer(raw, dtype="<f8").reshape(a.shape)

@@ -21,6 +21,7 @@ from .errors import (
     CheckpointFormatError,
     ConfigError,
     EmptyClusteringError,
+    InputError,
     RoundFailedError,
 )
 
@@ -91,8 +92,8 @@ def run_clustering_phase(params, features, knn_k, dbscan_cfg):
     """Embed, build the Jaccard matrix, pick epsilon, cluster, strip noise.
 
     On an all-noise result the fallback ladder first scales epsilon by 1.5
-    (up to three times), then halves ms down to 2; exhaustion raises
-    RoundFailedError.
+    (up to three times, at most to 1.0), then halves ms down to 2;
+    exhaustion raises RoundFailedError.
     """
     emb, _ = network.forward(params, features)
     jm = metric.build_jaccard(emb, knn_k)
@@ -104,33 +105,32 @@ def run_clustering_phase(params, features, knn_k, dbscan_cfg):
             dbscan_cfg.per_point_minimum,
         )
     rungs = []
-
-    def attempt(eps, ms):
-        raw = cluster.dbscan_fit(jm, eps, ms)
-        return cluster.build_pseudo_labeled_set(raw)
-
-    eps, ms = epsilon, dbscan_cfg.ms
-    try:
-        return attempt(eps, ms), epsilon, rungs
-    except EmptyClusteringError:
-        pass
-    for i in range(3):
-        eps *= 1.5
-        rungs.append(f"epsilon_x1.5_#{i + 1}")
+    for eps, ms, rung in _fallback_ladder(epsilon, dbscan_cfg.ms):
+        if rung:
+            rungs.append(rung)
         try:
-            return attempt(eps, ms), eps, rungs
+            raw = cluster.dbscan_fit(jm, eps, ms)
+            return cluster.build_pseudo_labeled_set(raw), eps, rungs
         except EmptyClusteringError:
-            continue
-    while ms > 2:
-        ms = max(2, ms // 2)
-        rungs.append(f"ms_halved_to_{ms}")
-        try:
-            return attempt(eps, ms), eps, rungs
-        except EmptyClusteringError:
-            continue
+            pass
     raise RoundFailedError(
         f"clustering fallback ladder exhausted (tried {rungs})"
     )
+
+
+def _fallback_ladder(epsilon, ms):
+    """(epsilon, ms, rung name) of each DBSCAN attempt in ladder order.
+
+    Epsilon stops at 1.0: every pair the Jaccard edge list leaves out is at
+    exactly 1, so any larger epsilon gives the same neighbourhoods.
+    """
+    yield epsilon, ms, None
+    for i in range(3):
+        epsilon = min(epsilon * 1.5, 1.0)
+        yield epsilon, ms, f"epsilon_x1.5_#{i + 1}"
+    while ms > 2:
+        ms = max(2, ms // 2)
+        yield epsilon, ms, f"ms_halved_to_{ms}"
 
 
 def run_episodic_phase(params, features, pl, config, rng):
@@ -167,9 +167,14 @@ def run_episodic_phase(params, features, pl, config, rng):
     return params, loss_sum / total, way, total
 
 
-def _prepare_run_dir(run_dir):
-    os.makedirs(os.path.join(run_dir, "checkpoints"), exist_ok=True)
-    os.makedirs(os.path.join(run_dir, "pseudo_labels"), exist_ok=True)
+def _save_state(run_dir, name, state):
+    """Write `metrics.csv` (when there is a history) and then the checkpoint
+    `name` under run_dir; no-op without a run_dir."""
+    if not run_dir:
+        return
+    if state.history:
+        data.write_metrics(state.history, os.path.join(run_dir, "metrics.csv"))
+    save_checkpoint(os.path.join(run_dir, name), state)
 
 
 def run_training(config, dataset, eval_dataset=None, run_dir=None,
@@ -197,7 +202,8 @@ def run_training(config, dataset, eval_dataset=None, run_dir=None,
     params, history = state.params, state.history
     start_round = state.round + 1
     if run_dir:
-        _prepare_run_dir(run_dir)
+        for sub in ("checkpoints", "pseudo_labels"):
+            os.makedirs(os.path.join(run_dir, sub), exist_ok=True)
 
     round_infos = []
     status = "completed"
@@ -212,13 +218,6 @@ def run_training(config, dataset, eval_dataset=None, run_dir=None,
             log.error("round %d failed: %s", t, exc)
             round_infos.append(RoundInfo(t, math.nan, ["exhausted"], 0, 0, False))
             status = "aborted"
-            if run_dir and history:
-                data.write_metrics(history, os.path.join(run_dir, "metrics.csv"))
-            if run_dir:
-                save_checkpoint(
-                    os.path.join(run_dir, "checkpoints", f"round_{t:04d}_failed.ckpt"),
-                    RoundState(round=t - 1, params=params, history=history),
-                )
             break
 
         if run_dir:
@@ -251,45 +250,17 @@ def run_training(config, dataset, eval_dataset=None, run_dir=None,
                  t, pl.num_clusters, pl.outlier_indices.size,
                  history[-1].nmi, acc_mean, mean_loss)
 
-        if run_dir:
-            data.write_metrics(history, os.path.join(run_dir, "metrics.csv"))
-            save_checkpoint(
-                os.path.join(run_dir, "checkpoints", f"round_{t:04d}.ckpt"),
-                RoundState(round=t, params=params, history=history),
-            )
+        _save_state(run_dir, f"checkpoints/round_{t:04d}.ckpt",
+                    RoundState(t, params, history))
 
-    if run_dir and status == "completed":
-        save_checkpoint(
-            os.path.join(run_dir, "final_model.ckpt"),
-            RoundState(round=config.rounds, params=params, history=history),
-        )
+    if status == "completed":
+        _save_state(run_dir, "final_model.ckpt",
+                    RoundState(config.rounds, params, history))
+    else:
+        _save_state(run_dir, f"checkpoints/round_{t:04d}_failed.ckpt",
+                    RoundState(t - 1, params, history))
     return TrainResult(params=params, history=history,
                        round_infos=round_infos, status=status)
-
-
-def _history_to_bytes(history):
-    lines = [",".join(evaluate.RoundMetrics.FIELDS)]
-    for row in history:
-        lines.append(",".join(data.format_number(v) for v in row.as_row()))
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def _history_from_bytes(blob):
-    lines = blob.decode("utf-8").strip().split("\n")
-    header = lines[0].split(",")
-    if tuple(header) != evaluate.RoundMetrics.FIELDS:
-        raise CheckpointFormatError("unexpected metrics header in checkpoint")
-    history = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        vals = {}
-        for name, text in zip(header, parts):
-            if name in ("round", "num_clusters", "num_outliers"):
-                vals[name] = int(text)
-            else:
-                vals[name] = math.nan if text == "" else float(text)
-        history.append(evaluate.RoundMetrics(**vals))
-    return history
 
 
 def save_checkpoint(path, state):
@@ -302,7 +273,7 @@ def save_checkpoint(path, state):
     with open(tmp, "wb") as f:
         network.write_params(f, state.params)
         f.write(struct.pack("<I", state.round))
-        hist = _history_to_bytes(state.history) if state.history else b""
+        hist = data.format_history(state.history).encode() if state.history else b""
         f.write(struct.pack("<Q", len(hist)))
         f.write(hist)
     os.replace(tmp, path)
@@ -318,8 +289,12 @@ def load_checkpoint(path):
             raise CheckpointFormatError("truncated round/history trailer")
         (round_index,) = struct.unpack("<I", trailer[:4])
         (hist_len,) = struct.unpack("<Q", trailer[4:])
-        hist = f.read(hist_len)
+        hist = f.read()
         if len(hist) != hist_len:
-            raise CheckpointFormatError("truncated history blob")
-    history = _history_from_bytes(hist) if hist else []
+            raise CheckpointFormatError(f"history trailer holds {len(hist)} "
+                                        f"bytes, its header says {hist_len}")
+    try:
+        history = data.parse_history(hist.decode()) if hist else []
+    except (UnicodeDecodeError, InputError) as exc:
+        raise CheckpointFormatError(f"{path}: bad history trailer: {exc}") from exc
     return RoundState(round=round_index, params=params, history=history)

@@ -3,6 +3,7 @@ import logging
 import os
 import platform
 import shutil
+import struct
 import subprocess
 import sys
 import warnings
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 import uflst
-from uflst import cli
+from uflst import cli, data, network
+from test_pipeline import two_triples
 
 
 def run_cli(args):
@@ -122,6 +124,25 @@ class TestCluster:
         assert rows[0] == ["index", "pseudo_label", "round"]
         assert len(rows) == 1 + 72
 
+    def test_printed_epsilon_capped_at_one(self, tmp_path, capsys):
+        # the second x1.5 rung (1.125) is the first to find a core point,
+        # and it is capped to 1.0
+        data.save_raw64(tmp_path / "x.raw64", two_triples().features)
+        with open(tmp_path / "model.ckpt", "wb") as f:
+            network.write_params(f, network.init_params([2, 16, 8], seed=0))
+        rc = run_cli([
+            "cluster", "--checkpoint", str(tmp_path / "model.ckpt"),
+            "--features", str(tmp_path / "x.raw64"),
+            "--out", str(tmp_path / "pl.csv"), "knn_k=2", "dbscan.ms=4",
+            "dbscan.epsilon_override=0.5",
+        ])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "cluster: 1 clusters, 0 outliers, epsilon=1, fallbacks="
+            "['epsilon_x1.5_#1', 'epsilon_x1.5_#2']\n")
+        with open(tmp_path / "pl.csv", newline="") as f:
+            assert [row[1] for row in csv.reader(f)][1:] == ["0"] * 6
+
 
 class TestErrors:
     def test_missing_config_exits_2(self, synth_dir, tmp_path):
@@ -146,6 +167,8 @@ class TestConfigErrors:
         ("train", "rounds=abc"),
         ("synth", "synthetic.dim=abc"),
         ("synth", "synthetic.dim=["),
+        ("synth", "synthetic.separation=.nan"),
+        ("synth", "synthetic.separation=.inf"),
         ("synth", None),   # malformed --config file
     ])
     def test_exits_1_with_one_error_line(self, tmp_path, command, override):
@@ -213,6 +236,11 @@ BAD_OVERRIDES = {
     "beta2_above_one": "optimizer.beta2=1.5",
     "negative_epsilon_adam": "optimizer.epsilon_adam=-1.0",
     "negative_epsilon_override": "dbscan.epsilon_override=-0.5",
+    "nan_learning_rate": "optimizer.learning_rate=.nan",
+    "inf_learning_rate": "optimizer.learning_rate=.inf",
+    "nan_margin": "loss.margin=.nan",
+    "inf_margin": "loss.margin=.inf",
+    "inf_epsilon_adam": "optimizer.epsilon_adam=.inf",
 }
 
 
@@ -310,6 +338,63 @@ class TestRunLog:
         assert meta["uflst"] == uflst.__version__
         assert meta["python"] == platform.python_version()
         assert meta["blas"] and meta["uflst_threads"]
+
+
+def rewrite_trailer(blob, edit=bytes, length=None):
+    """The checkpoint `blob` with its first history row passed through
+    `edit`, and the trailer's byte length set to `length` (by default, the
+    length of the history)."""
+    start = blob.index(b"round,nmi,")
+    lines = blob[start:].split(b"\n")
+    lines[1] = edit(lines[1])
+    hist = b"\n".join(lines)
+    return blob[:start - 8] + struct.pack("<Q", length or len(hist)) + hist
+
+
+def huge_layer_header(blob):
+    # 30 bytes: version 1, one 65535 x 65535 layer (a 32 GiB model), then
+    # 8 bytes of parameters
+    return (network.CHECKPOINT_MAGIC
+            + struct.pack("<IIII", 1, 1, 65535, 65535) + bytes(8))
+
+
+class TestCheckpointErrors:
+    """A malformed checkpoint makes `uflst eval` exit 1 with one error line.
+    It runs under a 2 GB address-space limit, so a header that asks for a
+    huge allocation fails fast instead of taking the memory."""
+
+    @pytest.mark.parametrize("corrupt", [
+        # one byte of the first row's nmi
+        lambda blob: rewrite_trailer(blob, lambda row: row[:2] + b"x"
+                                     + row[3:]),
+        # the first row without its last field
+        lambda blob: rewrite_trailer(blob, lambda row:
+                                     row.rsplit(b",", 1)[0]),
+        huge_layer_header,
+        lambda blob: rewrite_trailer(blob, length=1 << 62),
+    ], ids=["bad_float", "wrong_field_count", "huge_layer_header",
+            "huge_history_length"])
+    def test_exits_1_with_one_error_line(self, synth_dir, trained_run,
+                                         tmp_path, corrupt):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(corrupt((trained_run / "final_model.ckpt")
+                                 .read_bytes()))
+        limit = 2 << 30
+        script = ("import resource, sys; "
+                  f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+                  "from uflst import cli; sys.exit(cli.main(sys.argv[1:]))")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "eval", "--checkpoint", str(path),
+             "--data", str(synth_dir), "--episodes", "10",
+             "episode.n_c_test=3"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src, UFLST_THREADS="1"),
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("uflst: error:")
 
 
 class TestGradcheckCommand:

@@ -107,6 +107,23 @@ class TestLoadConfig:
         assert cfg["optimizer"]["learning_rate"] == 1
         assert cfg["optimizer"]["beta1"] == 0.5
 
+    def test_exponent_notation_is_a_float(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_text("optimizer:\n  learning_rate: 1e-3\n")
+        cfg = config_mod.load_config(
+            str(path), overrides=["dbscan.epsilon_override=1e-12",
+                                  "synthetic.separation=2.5E+1"])
+        assert cfg["optimizer"]["learning_rate"] == 1e-3
+        assert cfg["dbscan"]["epsilon_override"] == 1e-12
+        assert cfg["synthetic"]["separation"] == 25.0
+        assert config_mod.build_train_config(cfg).dbscan.epsilon_override \
+            == 1e-12
+
+    @pytest.mark.parametrize("override", ["rounds=1e3", "hidden_dims=[1e2]"])
+    def test_exponent_notation_is_not_an_int(self, override):
+        with pytest.raises(ConfigError, match="must be int"):
+            config_mod.load_config(overrides=[override])
+
     def test_malformed_yaml_file(self, tmp_path):
         path = tmp_path / "c.yaml"
         path.write_text("rounds: [3\n")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from uflst import cluster, data, evaluate
-from uflst.errors import DatasetParseError, InputError
+from uflst.errors import ConfigError, DatasetParseError, InputError
 
 
 class TestSynthetic:
@@ -17,7 +17,6 @@ class TestSynthetic:
         assert test.features.shape == (20, 6)
         assert np.array_equal(np.unique(train.labels), np.arange(4))
         assert np.array_equal(np.unique(test.labels), np.arange(2))
-        assert train.split == "train" and test.split == "test"
 
     def test_deterministic(self):
         spec = data.SyntheticSpec(num_classes=3, points_per_class=5, dim=4, seed=9)
@@ -58,6 +57,19 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             data.SyntheticSpec(within_std=-1.0).validate()
 
+    @pytest.mark.parametrize("kind, field", [
+        ("blobs", "separation"), ("blobs", "within_std"),
+        ("blobs", "noise_std"), ("rays", "radius_min"),
+        ("rays", "radius_ratio"), ("rays", "cone"), ("rays", "tight_cone"),
+        ("rays", "heldout_offset"), ("rays", "radial_noise"),
+        ("rays", "heldout_radial_noise"),
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_scale_rejected(self, kind, field, value):
+        spec = data.SyntheticSpec(kind=kind, **{field: value})
+        with pytest.raises(ConfigError):
+            spec.validate()
+
     def test_subset(self):
         spec = data.SyntheticSpec(num_classes=2, points_per_class=5, dim=3)
         train, _ = data.generate_synthetic(spec)
@@ -79,7 +91,6 @@ class TestRaySynthetic:
         assert test.features.shape == (250, 32)
         assert np.array_equal(np.unique(train.labels), np.arange(20))
         assert np.array_equal(np.unique(test.labels), np.arange(5))
-        assert train.split == "train" and test.split == "test"
 
     def test_deterministic(self):
         a_train, a_test = data.generate_synthetic(self.make_spec())
@@ -191,13 +202,6 @@ class TestDsv:
         ds = data.load_matrix_dataset(path, "dsv")
         assert np.array_equal(ds.features, [[1, 2], [3, 4], [5, 6]])
 
-    def test_label_column(self, tmp_path):
-        path = tmp_path / "x.csv"
-        path.write_text("1.0,2.0,0\n3.0,4.0,1\n")
-        ds = data.load_matrix_dataset(path, "dsv", label_column=True)
-        assert ds.features.shape == (2, 2)
-        assert np.array_equal(ds.labels, [0, 1])
-
     def test_ragged_row_line_number(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("1,2\n3,4\n5,6,7\n")
@@ -215,12 +219,6 @@ class TestDsv:
         path.write_text("\n\n")
         with pytest.raises(DatasetParseError):
             data.load_matrix_dataset(path, "dsv")
-
-    def test_alternate_delimiter(self, tmp_path):
-        path = tmp_path / "x.tsv"
-        path.write_text("1\t2\n3\t4\n")
-        ds = data.load_matrix_dataset(path, "dsv", delimiter="\t")
-        assert ds.features.shape == (2, 2)
 
 
 class TestIdx:
@@ -295,6 +293,31 @@ class TestMetricsOutput:
     def test_empty_history_rejected(self, tmp_path):
         with pytest.raises(InputError):
             data.write_metrics([], tmp_path / "metrics.csv")
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_history_round_trip(self, newline):
+        history = self.make_history()
+        text = data.format_history(history, newline)
+        parsed = data.parse_history(text)
+        assert data.format_history(parsed, newline) == text
+        assert [m.round for m in parsed] == [1, 2]
+        assert parsed[0].mean_loss == 1.234 and parsed[1].num_outliers == 100
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "round,nmi\n1,0.5\n",                          # wrong header
+        "round,nmi,num_clusters,num_outliers,mean_cluster_size,"
+        "accuracy_mean,accuracy_std,mean_loss\n1,0.5,3,0,2.0,,\n",  # 7 fields
+        "round,nmi,num_clusters,num_outliers,mean_cluster_size,"
+        "accuracy_mean,accuracy_std,mean_loss\n1,0.5,3,0,2.0,,,1,2\n",
+        "round,nmi,num_clusters,num_outliers,mean_cluster_size,"
+        "accuracy_mean,accuracy_std,mean_loss\n1,0.x,3,0,2.0,,,1\n",
+        "round,nmi,num_clusters,num_outliers,mean_cluster_size,"
+        "accuracy_mean,accuracy_std,mean_loss\n1.5,0.5,3,0,2.0,,,1\n",
+    ], ids=["empty", "header", "few_fields", "extra_field", "float", "int"])
+    def test_malformed_history_rejected(self, text):
+        with pytest.raises(InputError):
+            data.parse_history(text)
 
 
 class TestPseudoLabelOutput:

@@ -90,6 +90,18 @@ class TestClassMeans:
         assert means.tobytes() == expected.tobytes()
 
 
+class TestLabelGroups:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-5, 40), max_size=60))
+    def test_equals_per_label_flatnonzero(self, values):
+        labels = np.array(values, dtype=np.int64)
+        groups = metric.label_groups(labels)
+        expected = [np.flatnonzero(labels == c) for c in np.unique(labels)]
+        assert len(groups) == len(expected)
+        for got, want in zip(groups, expected):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 class TestKnn:
     def test_matches_full_sort(self):
         rng = np.random.default_rng(2)

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from uflst import cluster, data, episodes, losses, network, pipeline
+from uflst import cluster, data, episodes, losses, metric, network, pipeline
 from uflst.errors import RoundFailedError
 from test_network import params_equal
 
@@ -14,6 +14,14 @@ def small_dataset(seed=0, num_classes=6, points=12, dim=8):
                               dim=dim, separation=10.0, within_std=1.0,
                               heldout_classes=5, seed=seed)
     return data.generate_synthetic(spec)
+
+
+def two_triples():
+    """Two tight triples far apart.  With knn_k=2 every Jaccard edge is
+    2/3, so DBSCAN with ms=4 finds a cluster only at epsilon >= 1."""
+    return data.Dataset(features=np.array([
+        [0.0, 0.0], [0.01, 0.0], [0.0, 0.01],
+        [100.0, 100.0], [100.01, 100.0], [100.0, 100.01]]))
 
 
 def small_config(rounds=2, **kw):
@@ -82,6 +90,49 @@ class TestClusteringPhase:
         with pytest.warns(UserWarning):
             with pytest.raises(RoundFailedError):
                 pipeline.run_clustering_phase(params, feats, 20, cfg.dbscan)
+
+    def test_ladder_order_pinned(self, monkeypatch):
+        # every attempt comes back all noise, so the whole ladder runs
+        train, _ = small_dataset()
+        cfg = small_config()
+        cfg.dbscan.epsilon_override = 0.5
+        cfg.dbscan.ms = 16
+        attempts = []
+
+        def all_noise(jm, eps, ms):
+            attempts.append((eps, ms))
+            return np.full(jm.n, cluster.NOISE)
+
+        monkeypatch.setattr(cluster, "dbscan_fit", all_noise)
+        params = network.init_params(cfg.layer_dims(train.dim), seed=0)
+        with pytest.raises(RoundFailedError) as exc:
+            pipeline.run_clustering_phase(params, train.features, cfg.knn_k,
+                                          cfg.dbscan)
+        assert attempts == [(0.5, 16), (0.75, 16), (1.0, 16), (1.0, 16),
+                            (1.0, 8), (1.0, 4), (1.0, 2)]
+        assert str(exc.value) == (
+            "clustering fallback ladder exhausted (tried ['epsilon_x1.5_#1', "
+            "'epsilon_x1.5_#2', 'epsilon_x1.5_#3', 'ms_halved_to_8', "
+            "'ms_halved_to_4', 'ms_halved_to_2'])")
+
+    def test_ladder_caps_epsilon_at_one(self):
+        # eps 0.5 and 0.75 find no core point; the second x1.5 rung (1.125)
+        # succeeds, capped to 1.0, with the labels 1.125 gives
+        ds = two_triples()
+        cfg = small_config(rounds=1)
+        cfg.knn_k = 2
+        cfg.dbscan.epsilon_override = 0.5
+        result = pipeline.run_training(cfg, ds)
+        info = result.round_infos[0]
+        assert info.epsilon == 1.0
+        assert info.fallback_rungs == ["epsilon_x1.5_#1", "epsilon_x1.5_#2"]
+        params = network.init_params(cfg.layer_dims(ds.dim), seed=0)
+        pl, _, _ = pipeline.run_clustering_phase(params, ds.features,
+                                                 cfg.knn_k, cfg.dbscan)
+        jm = metric.build_jaccard(network.forward(params, ds.features)[0], 2)
+        uncapped = cluster.dbscan_fit(jm, 0.5 * 1.5 * 1.5, cfg.dbscan.ms)
+        assert np.array_equal(uncapped, [0] * 6)
+        assert np.array_equal(pl.labels, uncapped)
 
 
 class TestEpisodicPhase:
@@ -225,6 +276,42 @@ class TestRunTraining:
             str(tmp_path / "checkpoints" / failed[0])
         )
         assert state.round == 0
+
+    def test_aborted_after_resume_saves_history(self, tmp_path):
+        train, _ = small_dataset()
+        first = tmp_path / "first"
+        pipeline.run_training(small_config(rounds=2), train,
+                              run_dir=str(first))
+        round_2 = first / "checkpoints" / "round_0002.ckpt"
+        cfg = small_config(rounds=4)
+        cfg.dbscan.epsilon_override = 1e-12
+        resumed = tmp_path / "resumed"
+        result = pipeline.run_training(cfg, train, run_dir=str(resumed),
+                                       resume_from=str(round_2))
+        assert result.status == "aborted"
+        assert [info.round for info in result.round_infos] == [3]
+        assert os.listdir(resumed / "checkpoints") == ["round_0003_failed.ckpt"]
+        failed = resumed / "checkpoints" / "round_0003_failed.ckpt"
+        # nothing trained in round 3: the same state as round 2, byte for byte
+        assert failed.read_bytes() == round_2.read_bytes()
+        state = pipeline.load_checkpoint(str(failed))
+        assert state.round == 2
+        again = tmp_path / "again.ckpt"
+        pipeline.save_checkpoint(str(again), state)
+        assert again.read_bytes() == failed.read_bytes()
+        assert (resumed / "metrics.csv").read_bytes() == \
+            data.format_history(state.history, "\r\n").encode()
+
+    def test_metrics_csv_is_the_trailer_text(self, tmp_path):
+        train, _ = small_dataset()
+        pipeline.run_training(small_config(rounds=2), train,
+                              run_dir=str(tmp_path))
+        ckpt = tmp_path / "final_model.ckpt"
+        text = data.format_history(pipeline.load_checkpoint(str(ckpt)).history)
+        assert text.count("\n") == 3
+        assert ckpt.read_bytes().endswith(text.encode())
+        assert (tmp_path / "metrics.csv").read_bytes() == \
+            text.replace("\n", "\r\n").encode()
 
     def test_all_coincident_points_warn_but_complete(self):
         import warnings
