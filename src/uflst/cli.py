@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from . import config as config_mod
-from . import data, evaluate, losses, network, pipeline
+from . import data, episodes, evaluate, losses, network, pipeline
 from .errors import DatasetParseError, UflstError
 
 log = logging.getLogger("uflst")
@@ -197,7 +197,7 @@ def run_gradient_suite(seed=0, trials=5, tol=1e-4, step=4e-3):
             params = network.init_params([5, 8, 7, 4],
                                          seed=1000 * attempt + seed + 1)
             batch = rng.normal(size=(9, 5))
-            labels, support_mask = losses.episode_layout(3, 3, 1)
+            labels, support_mask = episodes.episode_layout(3, 3, 1)
             emb0, cache = network.forward(params, batch)
             relu_margin = min(np.min(np.abs(z)) for z in cache["pre_acts"][:-1])
             if relu_margin < 10 * step:

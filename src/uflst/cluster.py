@@ -25,7 +25,6 @@ class DbscanConfig:
     p_fraction: float = 0.02       # fraction of upper-triangle entries averaged for eps
     p_count: int = 0               # explicit P; overrides p_fraction when > 0
     epsilon_override: float = 0.0  # > 0 skips epsilon selection entirely
-    per_point_minimum: bool = False
 
     def validate(self):
         if self.ms < 1:
@@ -73,15 +72,12 @@ def _pairs(values):
     return n, rows, cols, values[rows, cols]
 
 
-def select_epsilon(values, p, per_point_minimum=False):
-    """Mean of the P smallest off-diagonal distances.
+def select_epsilon(values, p):
+    """Mean of the P smallest upper-triangle distances.
 
-    The default reading averages the P globally smallest upper-triangle
-    entries; the alternative averages each point's single minimum over the
-    P points with the smallest such minima.  `values` is a dense matrix or
-    a JaccardMatrix.
+    `values` is a dense matrix or a JaccardMatrix.
     """
-    n, rows, cols, dist = _pairs(values)
+    n, _, _, dist = _pairs(values)
     if n < 2:
         raise EmptyClusteringError("need at least two points to select epsilon")
     n_pairs = n * (n - 1) // 2
@@ -92,18 +88,9 @@ def select_epsilon(values, p, per_point_minimum=False):
             DegenerateGeometryWarning,
         )
         return 0.0
-    if per_point_minimum:
-        mins = np.full(n, np.inf)
-        np.minimum.at(mins, rows, dist)
-        np.minimum.at(mins, cols, dist)
-        if implicit:
-            # stored Jaccard edges are all below 1
-            np.minimum(mins, 1.0, out=mins)
-        pool = np.sort(mins)[: min(p, n)]
-    else:
-        pool = np.sort(dist)[: min(p, n_pairs)]
-        # the implicit pairs at 1 sort after every stored edge
-        pool = np.concatenate([pool, np.ones(min(p, n_pairs) - pool.size)])
+    pool = np.sort(dist)[: min(p, n_pairs)]
+    # the implicit pairs at 1 sort after every stored edge
+    pool = np.concatenate([pool, np.ones(min(p, n_pairs) - pool.size)])
     return float(np.mean(pool))
 
 

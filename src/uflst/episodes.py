@@ -2,7 +2,9 @@
 
 An episode samples n_c pseudo-classes and n_e examples per class and is
 held as one (n_c, n_e) array of dataset indices; in prototype mode the
-first n_s columns are the support and the other n_q the query.
+first n_s columns are the support and the other n_q the query.  Training
+and evaluation embed the flattened block and read its rows through
+`episode_layout`.
 """
 
 from __future__ import annotations
@@ -64,3 +66,11 @@ def sample_episode(members, n_c, n_e, rng):
     chosen = rng.choice(len(members), size=n_c, replace=False)
     return np.stack([rng.choice(members[c], size=n_e, replace=False)
                      for c in chosen])
+
+
+def episode_layout(n_c, n_e, n_s):
+    """Class position and support flag of each row of a flattened (n_c, n_e)
+    episode block: row c of the block is class c, its first n_s columns
+    the support."""
+    rows = np.arange(n_c * n_e)
+    return rows // n_e, rows % n_e < n_s

@@ -64,34 +64,44 @@ def nearest_prototype_predict(support_emb, support_labels, query_emb):
     return classes[np.argmin(metric.sq_distances(query_emb, protos), axis=1)]
 
 
-def few_shot_accuracy(params, features, labels, protocol, n_episodes, rng):
-    """Mean and std of nearest-prototype accuracy over evaluation episodes.
-
-    Every episode is an (n_c_test, n_s + n_q) block from
-    `episodes.sample_episode`: its first n_s columns are the support and
-    the rest the query.  The encoder embeds both and queries go to the
-    nearest prototype.
-    """
-    if n_episodes < 1:
-        raise ConfigError(f"episodes must be >= 1, got {n_episodes}")
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    way, shot = protocol.n_c_test, protocol.n_s
-    per_class = shot + protocol.n_q
-    members = episodes.eligible_members(metric.label_groups(labels), per_class)
+def eval_members(params, features, labels, protocol):
+    """Member indices of each class that can fill a `protocol` episode;
+    raises when the features do not fit the encoder or too few classes do."""
+    if np.shape(features)[1:] != (params.dims[0],):
+        raise InputError(f"eval features of shape {np.shape(features)} do not "
+                         f"match the encoder's input dim {params.dims[0]}")
+    way, per_class = protocol.n_c_test, protocol.n_s + protocol.n_q
+    members = episodes.eligible_members(
+        metric.label_groups(np.asarray(labels, dtype=np.int64)), per_class)
     if len(members) < way:
         raise ProtocolInfeasibleError(
             f"{len(members)} classes with >= {per_class} examples < way {way}"
         )
+    return members
+
+
+def few_shot_accuracy(params, features, labels, protocol, n_episodes, rng):
+    """Mean and std of nearest-prototype accuracy over evaluation episodes.
+
+    Every episode is an (n_c_test, n_s + n_q) block from
+    `episodes.sample_episode`.  The encoder embeds it in block order, and
+    each query goes to the nearest prototype of the support rows that
+    `episodes.episode_layout` marks.
+    """
+    if n_episodes < 1:
+        raise ConfigError(f"episodes must be >= 1, got {n_episodes}")
+    features = np.asarray(features, dtype=np.float64)
+    members = eval_members(params, features, labels, protocol)
+    way, per_class = protocol.n_c_test, protocol.n_s + protocol.n_q
+    classes, support = episodes.episode_layout(way, per_class, protocol.n_s)
+    query = ~support
     accs = np.empty(n_episodes)
     for e in range(n_episodes):
         block = episodes.sample_episode(members, way, per_class, rng)
-        support, query = block[:, :shot].ravel(), block[:, shot:].ravel()
-        rows = np.concatenate([support, query])
-        emb, _ = network.forward(params, features[rows])
-        pred = nearest_prototype_predict(emb[:support.size], labels[support],
-                                         emb[support.size:])
-        accs[e] = np.mean(pred == labels[query])
+        emb, _ = network.forward(params, features[block.ravel()])
+        pred = nearest_prototype_predict(emb[support], classes[support],
+                                         emb[query])
+        accs[e] = np.mean(pred == classes[query])
     return float(np.mean(accs)), float(np.std(accs))
 
 

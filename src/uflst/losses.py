@@ -175,22 +175,14 @@ def random_triplets(labels, rng):
     )
 
 
-def episode_layout(n_c, n_e, n_s):
-    """Class position and support flag of each row of a flattened (n_c, n_e)
-    episode block: row c of the block is class c, its first n_s columns
-    the support."""
-    rows = np.arange(n_c * n_e)
-    return rows // n_e, rows % n_e < n_s
-
-
-def episode_loss(emb, n_c, n_s, cfg, rng=None):
+def episode_loss(emb, labels, support_mask, cfg, rng=None):
     """Dispatch to the configured loss for one episode batch.
 
-    `emb` rows follow the flattened (n_c, n_e) episode block; n_s (the
-    support columns) is read only by the prototype loss.  Triplet variants
-    need `rng` for random triplet construction (ignored by hard mining).
+    `labels` and `support_mask` are the `episodes.episode_layout` of the
+    rows of `emb`; the support mask is read only by the prototype loss.
+    Triplet variants need `rng` for random triplet construction (ignored
+    by hard mining).
     """
-    labels, support_mask = episode_layout(n_c, emb.shape[0] // n_c, n_s)
     if cfg.kind == PROTOTYPE_KIND:
         return prototype_loss(emb, labels, support_mask)
 

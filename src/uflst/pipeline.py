@@ -32,12 +32,10 @@ log = logging.getLogger("uflst")
 class TrainConfig:
     rounds: int = 20
     epochs_per_round: int = 50
-    episodes_per_round: int = 0     # 0 derives epochs * ceil(N_kept / batch)
     seed: int = 0
     hidden_dims: tuple = (64, 64)
     embedding_dim: int = 16
     knn_k: int = 20
-    reset_adam_each_round: bool = False
     eval_episodes: int = 100
     optimizer: network.OptimizerConfig = field(default_factory=network.OptimizerConfig)
     dbscan: cluster.DbscanConfig = field(default_factory=cluster.DbscanConfig)
@@ -49,8 +47,8 @@ class TrainConfig:
             raise ConfigError("rounds and epochs_per_round must be >= 1")
         if self.knn_k < 1 or self.embedding_dim < 1:
             raise ConfigError("knn_k and embedding_dim must be >= 1")
-        if self.eval_episodes < 0 or self.episodes_per_round < 0:
-            raise ConfigError("eval_episodes and episodes_per_round must be >= 0")
+        if self.eval_episodes < 0:
+            raise ConfigError("eval_episodes must be >= 0")
         self.optimizer.validate()
         self.dbscan.validate()
         self.episode.validate()
@@ -92,7 +90,7 @@ def run_clustering_phase(params, features, knn_k, dbscan_cfg):
     """Embed, build the Jaccard matrix, pick epsilon, cluster, strip noise.
 
     On an all-noise result the fallback ladder first scales epsilon by 1.5
-    (up to three times, at most to 1.0), then halves ms down to 2;
+    (up to three times, stopping at 1.0), then halves ms down to 2;
     exhaustion raises RoundFailedError.
     """
     emb, _ = network.forward(params, features)
@@ -101,9 +99,7 @@ def run_clustering_phase(params, features, knn_k, dbscan_cfg):
         epsilon = dbscan_cfg.epsilon_override
     else:
         epsilon = cluster.select_epsilon(
-            jm, dbscan_cfg.resolve_p(features.shape[0]),
-            dbscan_cfg.per_point_minimum,
-        )
+            jm, dbscan_cfg.resolve_p(features.shape[0]))
     rungs = []
     for eps, ms, rung in _fallback_ladder(epsilon, dbscan_cfg.ms):
         if rung:
@@ -122,11 +118,16 @@ def _fallback_ladder(epsilon, ms):
     """(epsilon, ms, rung name) of each DBSCAN attempt in ladder order.
 
     Epsilon stops at 1.0: every pair the Jaccard edge list leaves out is at
-    exactly 1, so any larger epsilon gives the same neighbourhoods.
+    exactly 1, so any larger epsilon gives the same neighbourhoods.  A rung
+    that would repeat the previous epsilon (at the cap, or from 0) is
+    skipped, since its attempt could not succeed either.
     """
     yield epsilon, ms, None
     for i in range(3):
-        epsilon = min(epsilon * 1.5, 1.0)
+        grown = min(epsilon * 1.5, 1.0)
+        if grown == epsilon:
+            break
+        epsilon = grown
         yield epsilon, ms, f"epsilon_x1.5_#{i + 1}"
     while ms > 2:
         ms = max(2, ms // 2)
@@ -150,17 +151,15 @@ def run_episodic_phase(params, features, pl, config, rng):
         return params, math.nan, way, 0
     n_kept = int(pl.kept_indices.size)
     batches_per_epoch = max(1, math.ceil(n_kept / (way * cfg.n_e)))
-    if config.episodes_per_round > 0:
-        total = config.episodes_per_round
-    else:
-        total = config.epochs_per_round * batches_per_epoch
+    total = config.epochs_per_round * batches_per_epoch
+    labels, support_mask = episodes.episode_layout(way, cfg.n_e, cfg.n_s)
     loss_sum = 0.0
     for s in range(total):
         epoch = s // batches_per_epoch + 1
         block = episodes.sample_episode(members, way, cfg.n_e, rng)
         emb, cache = network.forward(params, features[block.ravel()])
-        loss, demb = losses.episode_loss(emb, way, cfg.n_s, config.loss,
-                                         rng=rng)
+        loss, demb = losses.episode_loss(emb, labels, support_mask,
+                                         config.loss, rng=rng)
         grad, _ = network.backward(params, cache, demb)
         network.adam_step(params, grad, config.optimizer, epoch)
         loss_sum += loss
@@ -183,7 +182,8 @@ def run_training(config, dataset, eval_dataset=None, run_dir=None,
 
     `dataset` supplies the unlabeled training features; its ground-truth
     labels (when present) feed only the per-round NMI metric.  A heldout
-    `eval_dataset` adds per-round few-shot accuracy.  Artifacts (metrics,
+    `eval_dataset` adds per-round few-shot accuracy; it is checked against
+    the encoder and the test protocol before round 1.  Artifacts (metrics,
     checkpoints, pseudo-label dumps) land in run_dir when given.
     """
     config.validate()
@@ -200,6 +200,10 @@ def run_training(config, dataset, eval_dataset=None, run_dir=None,
         raise ConfigError(f"checkpoint is at round {state.round}, so "
                           f"rounds={config.rounds} leaves nothing to run")
     params, history = state.params, state.history
+    evaluating = eval_dataset is not None and config.eval_episodes > 0
+    if evaluating:
+        evaluate.eval_members(params, eval_dataset.features,
+                              eval_dataset.labels, config.episode)
     start_round = state.round + 1
     if run_dir:
         for sub in ("checkpoints", "pseudo_labels"):
@@ -225,11 +229,6 @@ def run_training(config, dataset, eval_dataset=None, run_dir=None,
                 os.path.join(run_dir, "pseudo_labels", f"round_{t:04d}.csv"),
                 pl, features.shape[0], t,
             )
-        if config.reset_adam_each_round:
-            params.m[:] = 0.0
-            params.v[:] = 0.0
-            params.step = 0
-
         params, mean_loss, way, n_episodes = run_episodic_phase(
             params, features, pl, config, train_rng
         )
@@ -237,7 +236,7 @@ def run_training(config, dataset, eval_dataset=None, run_dir=None,
                                      n_episodes > 0))
 
         acc_mean = acc_std = math.nan
-        if eval_dataset is not None and config.eval_episodes > 0:
+        if evaluating:
             acc_mean, acc_std = evaluate.few_shot_accuracy(
                 params, eval_dataset.features, eval_dataset.labels,
                 config.episode, config.eval_episodes, eval_rng,

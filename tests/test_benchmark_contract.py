@@ -63,3 +63,15 @@ def test_jaccard_edge_count_reads_the_edge_list():
     tracer._jaccard_edges(t, 0, (), jm)
     assert jm.dist.size > 0
     assert t.counts["metric.jaccard_edges"] == jm.dist.size
+
+
+@pytest.mark.parametrize("name", sorted(run.WORKLOADS))
+def test_workload_overrides_load(name):
+    # a removed or renamed config key would stop every benchmark run
+    from uflst import config
+
+    workload = run.Workload(name, seed=2, root=PERFBENCH)
+    config.build_synthetic_spec(
+        config.load_config(overrides=workload.synth_overrides))
+    config.build_train_config(
+        config.load_config(overrides=workload.train_overrides))

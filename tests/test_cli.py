@@ -161,6 +161,11 @@ class TestErrors:
         assert rc == 1
 
 
+# Options that no longer exist: an old config setting one must fail loud.
+REMOVED_KEYS = ("dbscan.per_point_minimum=true", "reset_adam_each_round=true",
+                "episodes_per_round=3")
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize("command, override", [
         ("train", "optimizer.learning_rate=-1"),
@@ -170,6 +175,7 @@ class TestConfigErrors:
         ("synth", "synthetic.separation=.nan"),
         ("synth", "synthetic.separation=.inf"),
         ("synth", None),   # malformed --config file
+        *(("train", key) for key in REMOVED_KEYS),
     ])
     def test_exits_1_with_one_error_line(self, tmp_path, command, override):
         args = {"train": ["--data", str(tmp_path), "--run-dir",
@@ -191,6 +197,8 @@ class TestConfigErrors:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("uflst: error:")
+        if override in REMOVED_KEYS:
+            assert lines[0].startswith("uflst: error: unknown config key")
 
 
 TRAIN_ARGS = ["rounds=1", "epochs_per_round=1", "hidden_dims=[16]",
@@ -231,7 +239,6 @@ def assert_stopped_before_any_round(code, lines, run_dir):
 BAD_OVERRIDES = {
     "prototype_loss_triplet_episodes": "loss.kind=prototype",
     "negative_eval_episodes": "eval_episodes=-5",
-    "negative_episodes_per_round": "episodes_per_round=-3",
     "beta1_one": "optimizer.beta1=1.0",
     "beta2_above_one": "optimizer.beta2=1.5",
     "negative_epsilon_adam": "optimizer.epsilon_adam=-1.0",
@@ -241,6 +248,8 @@ BAD_OVERRIDES = {
     "nan_margin": "loss.margin=.nan",
     "inf_margin": "loss.margin=.inf",
     "inf_epsilon_adam": "optimizer.epsilon_adam=.inf",
+    # the 5 heldout classes cannot fill a 6-way test episode
+    "test_way_above_test_classes": "episode.n_c_test=6",
 }
 
 
@@ -250,7 +259,8 @@ class TestBadRunInputs:
 
     @pytest.mark.parametrize("case", [
         "fewer_label_rows", "more_label_rows", "non_integer_label",
-        "swapped_label_rows", "missing_test_labels", *BAD_OVERRIDES,
+        "swapped_label_rows", "missing_test_labels", "wider_test_features",
+        *BAD_OVERRIDES,
     ])
     def test_exits_1_before_any_round(self, synth_dir, tmp_path, case):
         data_dir = tmp_path / "data"
@@ -269,6 +279,11 @@ class TestBadRunInputs:
                            lambda r: r[:5] + [r[6], r[5]] + r[7:])
         elif case == "missing_test_labels":
             os.remove(data_dir / "test.labels.csv")
+        elif case == "wider_test_features":
+            test = data.load_matrix_dataset(str(data_dir / "test.raw64"),
+                                            "raw64")
+            data.save_raw64(str(data_dir / "test.raw64"),
+                            np.hstack([test.features, test.features[:, :1]]))
         else:
             overrides.append(BAD_OVERRIDES[case])
         run_dir = tmp_path / "run"

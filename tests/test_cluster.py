@@ -120,18 +120,6 @@ class TestEpsilon:
                 np.mean(tri[:p]), abs=1e-12
             )
 
-    def test_per_point_minimum_reading(self):
-        values = np.array([
-            [0.0, 1.0, 4.0],
-            [1.0, 0.0, 2.0],
-            [4.0, 2.0, 0.0],
-        ])
-        # per-point minima: [1, 1, 2]
-        got = cluster.select_epsilon(values, 2, per_point_minimum=True)
-        assert got == pytest.approx(1.0)
-        got = cluster.select_epsilon(values, 3, per_point_minimum=True)
-        assert got == pytest.approx(4.0 / 3.0)
-
     def test_all_zero_warns(self):
         values = np.zeros((4, 4))
         with pytest.warns(DegenerateGeometryWarning):
@@ -259,13 +247,13 @@ class TestSparseMatchesDense:
     `.values` alike."""
 
     @settings(max_examples=60, deadline=None)
-    @given(point_sets(), st.integers(1, 3000), st.booleans())
-    def test_select_epsilon(self, case, p, per_point_minimum):
+    @given(point_sets(), st.integers(1, 3000))
+    def test_select_epsilon(self, case, p):
         jm = sparse_jaccard(*case)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateGeometryWarning)
-            sparse = cluster.select_epsilon(jm, p, per_point_minimum)
-            dense = cluster.select_epsilon(jm.values, p, per_point_minimum)
+            sparse = cluster.select_epsilon(jm, p)
+            dense = cluster.select_epsilon(jm.values, p)
         assert sparse == dense
 
     @settings(max_examples=60, deadline=None)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uflst import cluster, episodes, losses
+from uflst import cluster, episodes
 from uflst.errors import EpisodeInfeasibleError
 
 
@@ -100,7 +100,7 @@ class TestSampling:
         # support is the first n_s columns of each row
         block = episodes.sample_episode(make_pl([8] * 6).class_members, 3, 4,
                                         np.random.default_rng(3))
-        labels, support = losses.episode_layout(3, 4, 1)
+        labels, support = episodes.episode_layout(3, 4, 1)
         assert np.array_equal(block.ravel()[support], block[:, 0])
         assert np.array_equal(labels, np.repeat(np.arange(3), 4))
 

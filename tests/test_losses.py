@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uflst import losses
+from uflst import episodes, losses
 from uflst.errors import ContractViolationError
 
 
@@ -91,7 +91,7 @@ def block_layouts(draw):
     n_c, n_e = draw(st.integers(2, 60)), draw(st.integers(2, 6))
     n_s = draw(st.integers(1, n_e - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    labels, support = losses.episode_layout(n_c, n_e, n_s)
+    labels, support = episodes.episode_layout(n_c, n_e, n_s)
     emb = random_embeddings(rng, n_c * n_e, draw(st.integers(1, 16)))
     return emb, labels, support
 
@@ -339,38 +339,43 @@ class TestRandomTriplets:
 
 class TestEpisodeLoss:
     def test_episode_labels(self):
-        labels, support = losses.episode_layout(3, 2, 1)
+        labels, support = episodes.episode_layout(3, 2, 1)
         assert np.array_equal(labels, [0, 0, 1, 1, 2, 2])
         assert support.tolist() == [True, False] * 3
 
     def test_dispatch_shapes(self):
         rng = np.random.default_rng(7)
         emb = rng.normal(size=(12, 5))
+        labels, support = episodes.episode_layout(3, 4, 1)
         for kind in losses.LOSS_KINDS:
             cfg = losses.LossConfig(kind=kind)
-            loss, grad = losses.episode_loss(emb, 3, 1, cfg, rng=rng)
+            loss, grad = losses.episode_loss(emb, labels, support, cfg,
+                                             rng=rng)
             assert np.isfinite(loss)
             assert grad.shape == emb.shape
 
     def test_prototype_reads_support_from_layout(self):
         rng = np.random.default_rng(9)
         emb = rng.normal(size=(12, 5))
-        labels, support = losses.episode_layout(3, 4, 2)
+        labels, support = episodes.episode_layout(3, 4, 2)
         loss, grad = losses.episode_loss(
-            emb, 3, 2, losses.LossConfig(kind=losses.PROTOTYPE_KIND))
+            emb, labels, support,
+            losses.LossConfig(kind=losses.PROTOTYPE_KIND))
         expected_loss, expected_grad = losses.prototype_loss(emb, labels,
                                                              support)
         assert loss == expected_loss and np.array_equal(grad, expected_grad)
 
     def test_random_kinds_need_rng(self):
         with pytest.raises(ContractViolationError):
-            losses.episode_loss(np.zeros((12, 3)), 3, 1,
+            losses.episode_loss(np.zeros((12, 3)),
+                                *episodes.episode_layout(3, 4, 1),
                                 losses.LossConfig(kind=losses.TRIPLET_KIND))
 
     def test_hard_triplet_deterministic_without_rng(self):
         rng = np.random.default_rng(8)
         emb = rng.normal(size=(12, 5))
         cfg = losses.LossConfig(kind=losses.HARD_TRIPLET_KIND)
-        l1, g1 = losses.episode_loss(emb, 3, 1, cfg)
-        l2, g2 = losses.episode_loss(emb, 3, 1, cfg)
+        labels, support = episodes.episode_layout(3, 4, 1)
+        l1, g1 = losses.episode_loss(emb, labels, support, cfg)
+        l2, g2 = losses.episode_loss(emb, labels, support, cfg)
         assert l1 == l2 and np.array_equal(g1, g2)
