@@ -171,13 +171,13 @@ def _gradcheck_loss(kind, emb0, labels, support_mask):
     a, p, n, _ = losses.mine_hard_triplets(emb0, labels)
     if kind == "triplet_hinge":
         _, _, pre = losses.triplet_pre_activation(emb0[a], emb0[p], emb0[n],
-                                                  0.5)
+                                                  losses.TRIPLET_MARGIN)
         if np.any(np.abs(pre) < 1e-1):
             return None
         fn = losses.triplet_hinge_loss
     else:
         fn = losses.triplet_soft_margin_loss
-    return lambda emb: losses.indexed_triplet_loss(fn, emb, a, p, n, 0.5)
+    return lambda emb: losses.indexed_triplet_loss(fn, emb, a, p, n)
 
 
 def run_gradient_suite(seed=0, trials=5, tol=1e-4, step=4e-3):

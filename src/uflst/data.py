@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -48,16 +48,13 @@ class SyntheticSpec:
     num_classes: int = 20
     points_per_class: int = 50
     dim: int = 32
-    heldout_classes: int = 5
+    heldout_classes: int = 5      # rays: also the number of tight rays
     seed: int = 0
     # blobs: isotropic Gaussians with centers on a sphere
     separation: float = 6.0       # radius of the sphere the class centers sit on
     within_std: float = 1.0
-    noise_dims: int = 0           # trailing class-independent nuisance dims
-    noise_std: float = 0.0
     # rays: classes are directions from the origin with log-uniform radii
     cone: float = 0.1             # direction spread of the widely spaced rays
-    tight_classes: int = 5        # rays bundled closely; hosts for heldout
     tight_cone: float = 0.025
     heldout_offset: float = 0.005  # angular nudge off each host direction
     radius_min: float = 5.0
@@ -72,16 +69,15 @@ class SyntheticSpec:
         if self.num_classes < 1 or self.points_per_class < 1 or self.dim < 1:
             raise ConfigError("class/point/dim counts must be positive")
         if self.kind == "blobs":
-            if self.noise_dims < 0 or self.noise_dims >= self.dim:
-                raise ConfigError("noise_dims must lie in [0, dim)")
+            if self.heldout_classes < 0:
+                raise ConfigError("heldout_classes must be nonnegative")
             if not all(0 <= x < math.inf for x in (
-                    self.separation, self.within_std, self.noise_std)):
+                    self.separation, self.within_std)):
                 raise ConfigError("scales must be nonnegative and finite")
             return
-        if not (0 < self.tight_classes <= self.num_classes):
-            raise ConfigError("tight_classes must lie in (0, num_classes]")
-        if self.heldout_classes != self.tight_classes:
-            raise ConfigError("rays pin one heldout class to each tight ray")
+        if not (0 < self.heldout_classes <= self.num_classes):
+            raise ConfigError("rays pin one heldout class to each tight ray: "
+                              "heldout_classes must lie in (0, num_classes]")
         if not (0 < self.radius_min < math.inf
                 and 1 <= self.radius_ratio < math.inf):
             raise ConfigError("radius_min must be positive, radius_ratio >= 1, "
@@ -103,44 +99,32 @@ def generate_synthetic(spec):
     return _generate_blobs(spec)
 
 
+def _stack_classes(blocks, spec):
+    """One Dataset of the per-class point blocks, labelled 0.. in order."""
+    return Dataset(
+        features=np.concatenate([np.empty((0, spec.dim)), *blocks]),
+        labels=np.repeat(np.arange(len(blocks)), spec.points_per_class),
+    )
+
+
 def _generate_blobs(spec):
     """Isotropic Gaussian blobs with centers on a scaled sphere.
 
-    The informative subspace is the first dim - noise_dims coordinates;
-    any trailing noise dims carry class-independent Gaussian clutter.
     Train and heldout classes use disjoint center draws.
     """
     rng = np.random.default_rng(spec.seed)
-    d_info = spec.dim - spec.noise_dims
     total_classes = spec.num_classes + spec.heldout_classes
 
-    dirs = rng.normal(size=(total_classes, d_info))
+    dirs = rng.normal(size=(total_classes, spec.dim))
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     centers = spec.separation * dirs / norms
 
     def build(class_rows):
-        feats, labs = [], []
-        for j, c in enumerate(class_rows):
-            pts = np.zeros((spec.points_per_class, spec.dim))
-            pts[:, :d_info] = centers[c] + spec.within_std * rng.normal(
-                size=(spec.points_per_class, d_info)
-            )
-            if spec.noise_dims:
-                pts[:, d_info:] = spec.noise_std * rng.normal(
-                    size=(spec.points_per_class, spec.noise_dims)
-                )
-            feats.append(pts)
-            labs.append(np.full(spec.points_per_class, j, dtype=np.int64))
-        if not feats:
-            return Dataset(
-                features=np.empty((0, spec.dim)),
-                labels=np.empty(0, dtype=np.int64),
-            )
-        return Dataset(
-            features=np.concatenate(feats),
-            labels=np.concatenate(labs),
-        )
+        return _stack_classes([
+            centers[c] + spec.within_std * rng.normal(
+                size=(spec.points_per_class, spec.dim))
+            for c in class_rows], spec)
 
     train = build(range(spec.num_classes))
     test = build(range(spec.num_classes, total_classes))
@@ -154,6 +138,7 @@ def _spread_directions(rng, n, dim, center, cone, candidates):
     takes the candidate farthest (in cosine) from everything chosen so
     far, starting from candidate 0.  Greedy max-min spacing keeps the
     minimum pairwise angle from collapsing the way independent draws do.
+    With n = 0 the pool is still drawn, and none of it is returned.
     """
     pool = center + cone * rng.normal(size=(candidates, dim))
     pool /= np.linalg.norm(pool, axis=1, keepdims=True)
@@ -162,7 +147,7 @@ def _spread_directions(rng, n, dim, center, cone, candidates):
         sims = np.max(pool @ pool[chosen].T, axis=1)
         sims[chosen] = np.inf
         chosen.append(int(np.argmin(sims)))
-    return pool[chosen]
+    return pool[chosen[:n]]
 
 
 def _generate_rays(spec):
@@ -173,7 +158,7 @@ def _generate_rays(spec):
     proportional to r, so raw Euclidean distance is dominated by the
     shared radial spread while class membership lives entirely in the
     direction.  Most train rays are spread widely around a fixed axis;
-    `tight_classes` of them are bundled around a second random center.
+    `heldout_classes` of them are bundled around a second random center.
     Each heldout class direction is a small perturbation of one tight
     ray, so heldout classes occupy the same angular neighborhood as
     known classes without duplicating any of them.  Train and heldout
@@ -183,35 +168,29 @@ def _generate_rays(spec):
     axis = np.zeros(spec.dim)
     axis[0] = 1.0
     spread = _spread_directions(
-        rng, spec.num_classes - spec.tight_classes, spec.dim, axis,
+        rng, spec.num_classes - spec.heldout_classes, spec.dim, axis,
         spec.cone, spec.direction_candidates,
     )
     center = rng.normal(size=spec.dim)
     center /= np.linalg.norm(center)
     tight = _spread_directions(
-        rng, spec.tight_classes, spec.dim, center,
+        rng, spec.heldout_classes, spec.dim, center,
         spec.tight_cone, spec.direction_candidates,
     )
     train_dirs = np.concatenate([spread, tight])
     heldout_dirs = tight + spec.heldout_offset * rng.normal(
-        size=(spec.tight_classes, spec.dim)
+        size=(spec.heldout_classes, spec.dim)
     )
     heldout_dirs /= np.linalg.norm(heldout_dirs, axis=1, keepdims=True)
 
     def build(dirs, noise):
-        feats, labs = [], []
-        for j in range(len(dirs)):
+        blocks = []
+        for direction in dirs:
             u = rng.uniform(0.0, 1.0, size=(spec.points_per_class, 1))
             r = spec.radius_min * spec.radius_ratio ** u
-            pts = r * dirs[j] + noise * r * rng.normal(
-                size=(spec.points_per_class, spec.dim)
-            )
-            feats.append(pts)
-            labs.append(np.full(spec.points_per_class, j, dtype=np.int64))
-        return Dataset(
-            features=np.concatenate(feats),
-            labels=np.concatenate(labs),
-        )
+            blocks.append(r * direction + noise * r * rng.normal(
+                size=(spec.points_per_class, spec.dim)))
+        return _stack_classes(blocks, spec)
 
     train = build(train_dirs, spec.radial_noise)
     test = build(heldout_dirs, spec.heldout_radial_noise)
@@ -325,9 +304,19 @@ def format_number(x):
 
 def format_history(history, newline="\n"):
     """The metrics history as CSV text: the header, then one row per round."""
-    rows = [RoundMetrics.FIELDS, *([format_number(v) for v in m.as_row()]
+    rows = [RoundMetrics.FIELDS, *([format_number(v) for v in astuple(m)]
                                    for m in history)]
     return "".join(",".join(row) + newline for row in rows)
+
+
+def _parse_float(text):
+    return float(text or "nan")   # an empty field is an undefined metric
+
+
+# One parser per metrics column, from the field annotations (strings,
+# since `evaluate` postpones their evaluation).
+_COLUMN_PARSERS = tuple(int if f.type == "int" else _parse_float
+                        for f in fields(RoundMetrics))
 
 
 def parse_history(text):
@@ -337,11 +326,9 @@ def parse_history(text):
         raise InputError("unexpected metrics header")
     history = []
     for lineno, line in enumerate(lines[1:], start=2):
-        fields = zip(RoundMetrics.FIELDS, line.split(","), strict=True)
+        cells = zip(_COLUMN_PARSERS, line.split(","), strict=True)
         try:
-            history.append(RoundMetrics(*(
-                int(c) if name in ("round", "num_clusters", "num_outliers")
-                else float(c or "nan") for name, c in fields)))
+            history.append(RoundMetrics(*(parse(c) for parse, c in cells)))
         except ValueError as exc:
             raise InputError(f"line {lineno} is not {len(RoundMetrics.FIELDS)} "
                              f"numbers ({exc})") from exc

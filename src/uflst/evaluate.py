@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,11 +22,8 @@ class RoundMetrics:
     accuracy_std: float
     mean_loss: float
 
-    FIELDS = ("round", "nmi", "num_clusters", "num_outliers",
-              "mean_cluster_size", "accuracy_mean", "accuracy_std", "mean_loss")
 
-    def as_row(self):
-        return [getattr(self, f) for f in self.FIELDS]
+RoundMetrics.FIELDS = tuple(f.name for f in fields(RoundMetrics))
 
 
 def nmi(a, b):

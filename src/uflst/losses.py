@@ -6,7 +6,6 @@ pass can chain them; distances are raw squared Euclidean throughout.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,18 +18,16 @@ TRIPLET_KIND = "triplet"
 SOFT_MARGIN_KIND = "soft_margin_triplet"
 HARD_TRIPLET_KIND = "hard_triplet"
 LOSS_KINDS = (PROTOTYPE_KIND, TRIPLET_KIND, SOFT_MARGIN_KIND, HARD_TRIPLET_KIND)
+TRIPLET_MARGIN = 0.5
 
 
 @dataclass
 class LossConfig:
     kind: str = HARD_TRIPLET_KIND
-    margin: float = 0.5
 
     def validate(self):
         if self.kind not in LOSS_KINDS:
             raise ConfigError(f"unknown loss kind {self.kind!r}")
-        if not 0 <= self.margin < math.inf:
-            raise ConfigError("margin must be nonnegative and finite")
 
 
 def prototype_loss(emb, labels, support_mask):
@@ -101,11 +98,7 @@ def triplet_hinge_loss(anchor, positive, negative, margin):
     t = pre.shape[0]
     active = pre > 0
     loss = float(np.sum(pre[active]) / t) if np.any(active) else 0.0
-    scale = active.astype(np.float64)[:, None] / t
-    grad_a = scale * 2.0 * (dp - dn)
-    grad_p = scale * (-2.0) * dp
-    grad_n = scale * 2.0 * dn
-    return loss, (grad_a, grad_p, grad_n)
+    return loss, _triplet_grads(dp, dn, active.astype(np.float64)[:, None] / t)
 
 
 def triplet_soft_margin_loss(anchor, positive, negative, margin):
@@ -114,11 +107,13 @@ def triplet_soft_margin_loss(anchor, positive, negative, margin):
     t = pre.shape[0]
     loss = float(np.mean(np.logaddexp(0.0, pre)))
     sigma = 0.5 * (1.0 + np.tanh(0.5 * pre))
-    scale = sigma[:, None] / t
-    grad_a = scale * 2.0 * (dp - dn)
-    grad_p = scale * (-2.0) * dp
-    grad_n = scale * 2.0 * dn
-    return loss, (grad_a, grad_p, grad_n)
+    return loss, _triplet_grads(dp, dn, sigma[:, None] / t)
+
+
+def _triplet_grads(dp, dn, scale):
+    """Anchor, positive and negative gradients of a triplet loss whose
+    derivative in the pre-activation is `scale` per row."""
+    return scale * 2.0 * (dp - dn), scale * (-2.0) * dp, scale * 2.0 * dn
 
 
 @dataclass
@@ -194,13 +189,13 @@ def episode_loss(emb, labels, support_mask, cfg, rng=None):
         a, p, n = random_triplets(labels, rng)
     fn = (triplet_soft_margin_loss if cfg.kind == SOFT_MARGIN_KIND
           else triplet_hinge_loss)
-    return indexed_triplet_loss(fn, emb, a, p, n, cfg.margin)
+    return indexed_triplet_loss(fn, emb, a, p, n)
 
 
-def indexed_triplet_loss(fn, emb, a, p, n, margin):
-    """A triplet loss `fn` over index triplets into `emb`, with the per-role
-    gradients scattered back onto the rows of `emb`."""
-    loss, (ga, gp, gn) = fn(emb[a], emb[p], emb[n], margin)
+def indexed_triplet_loss(fn, emb, a, p, n):
+    """A triplet loss `fn` at TRIPLET_MARGIN over index triplets into `emb`,
+    with the per-role gradients scattered back onto the rows of `emb`."""
+    loss, (ga, gp, gn) = fn(emb[a], emb[p], emb[n], TRIPLET_MARGIN)
     grad = np.zeros_like(emb)
     np.add.at(grad, a, ga)
     np.add.at(grad, p, gp)

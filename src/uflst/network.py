@@ -71,32 +71,28 @@ def _flat_size(dims):
     return sum(d_out * (d_in + 1) for d_in, d_out in zip(dims[:-1], dims[1:]))
 
 
+# Adam's published defaults (Kingma & Ba, 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+# `adam_step` gets the epoch within the round, so the rate drops once a round
+LR_DROP_FACTOR = 0.1
+LR_DROP_AFTER_EPOCH = 25
+
+
 @dataclass
 class OptimizerConfig:
     learning_rate: float = 0.005
-    decay_factor: float = 0.1
-    decay_after_epoch: int = 25
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon_adam: float = 1e-8
 
     def validate(self):
         if not 0 < self.learning_rate < math.inf:
             raise ConfigError("learning_rate must be positive and finite")
-        if not (0 < self.decay_factor <= 1):
-            raise ConfigError("decay_factor must lie in (0, 1]")
-        if self.decay_after_epoch < 1:
-            raise ConfigError("decay_after_epoch must be a positive integer")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ConfigError("beta1 and beta2 must lie in [0, 1)")
-        if not 0 < self.epsilon_adam < math.inf:
-            raise ConfigError("epsilon_adam must be positive and finite")
 
     def effective_lr(self, epoch):
         """Step size for a given 1-based epoch: a single multiplicative drop
-        once the epoch counter passes decay_after_epoch."""
-        if epoch > self.decay_after_epoch:
-            return self.learning_rate * self.decay_factor
+        once the epoch counter passes LR_DROP_AFTER_EPOCH."""
+        if epoch > LR_DROP_AFTER_EPOCH:
+            return self.learning_rate * LR_DROP_FACTOR
         return self.learning_rate
 
 
@@ -183,7 +179,7 @@ def adam_step(params, grad, config, epoch):
             f"gradient shape {grad.shape}, expected {params.flat.shape}"
         )
     lr = config.effective_lr(epoch)
-    b1, b2, eps = config.beta1, config.beta2, config.epsilon_adam
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
     params.step += 1
     params.m *= b1
     params.m += (1 - b1) * grad

@@ -163,7 +163,11 @@ class TestErrors:
 
 # Options that no longer exist: an old config setting one must fail loud.
 REMOVED_KEYS = ("dbscan.per_point_minimum=true", "reset_adam_each_round=true",
-                "episodes_per_round=3")
+                "episodes_per_round=3", "optimizer.beta1=0.9",
+                "optimizer.beta2=0.999", "optimizer.epsilon_adam=1e-8",
+                "optimizer.decay_factor=0.1", "optimizer.decay_after_epoch=25",
+                "loss.margin=0.5", "synthetic.noise_dims=0",
+                "synthetic.noise_std=0.0", "synthetic.tight_classes=5")
 
 
 class TestConfigErrors:
@@ -174,8 +178,10 @@ class TestConfigErrors:
         ("synth", "synthetic.dim=["),
         ("synth", "synthetic.separation=.nan"),
         ("synth", "synthetic.separation=.inf"),
+        ("synth", "synthetic.heldout_classes=-1"),
         ("synth", None),   # malformed --config file
-        *(("train", key) for key in REMOVED_KEYS),
+        *(("synth" if key.startswith("synthetic.") else "train", key)
+          for key in REMOVED_KEYS),
     ])
     def test_exits_1_with_one_error_line(self, tmp_path, command, override):
         args = {"train": ["--data", str(tmp_path), "--run-dir",
@@ -239,15 +245,9 @@ def assert_stopped_before_any_round(code, lines, run_dir):
 BAD_OVERRIDES = {
     "prototype_loss_triplet_episodes": "loss.kind=prototype",
     "negative_eval_episodes": "eval_episodes=-5",
-    "beta1_one": "optimizer.beta1=1.0",
-    "beta2_above_one": "optimizer.beta2=1.5",
-    "negative_epsilon_adam": "optimizer.epsilon_adam=-1.0",
     "negative_epsilon_override": "dbscan.epsilon_override=-0.5",
     "nan_learning_rate": "optimizer.learning_rate=.nan",
     "inf_learning_rate": "optimizer.learning_rate=.inf",
-    "nan_margin": "loss.margin=.nan",
-    "inf_margin": "loss.margin=.inf",
-    "inf_epsilon_adam": "optimizer.epsilon_adam=.inf",
     # the 5 heldout classes cannot fill a 6-way test episode
     "test_way_above_test_classes": "episode.n_c_test=6",
 }

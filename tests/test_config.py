@@ -2,6 +2,7 @@ import pytest
 import yaml
 
 from uflst import config as config_mod
+from uflst import losses, network
 from uflst.data import SyntheticSpec
 from uflst.errors import ConfigError
 from uflst.pipeline import TrainConfig
@@ -19,9 +20,9 @@ class TestLoadConfig:
         assert tc.rounds == 20
         assert tc.epochs_per_round == 50
         assert tc.optimizer.learning_rate == 0.005
-        assert tc.optimizer.decay_after_epoch == 25
+        assert network.LR_DROP_AFTER_EPOCH == 25
         assert (tc.episode.n_c_train, tc.episode.n_e) == (32, 4)
-        assert tc.loss.margin == 0.5
+        assert losses.TRIPLET_MARGIN == 0.5
 
     def test_prototype_needs_split(self):
         # the prototype loss reads its support from the episode split
@@ -102,10 +103,11 @@ class TestLoadConfig:
         path = tmp_path / "c.yaml"
         path.write_text("optimizer:\n  learning_rate: 1\n")
         cfg = config_mod.load_config(
-            str(path), overrides=["dbscan.p_fraction=1", "optimizer.beta1=0.5"])
+            str(path),
+            overrides=["dbscan.p_fraction=1", "synthetic.within_std=0.5"])
         assert cfg["dbscan"]["p_fraction"] == 1
         assert cfg["optimizer"]["learning_rate"] == 1
-        assert cfg["optimizer"]["beta1"] == 0.5
+        assert cfg["synthetic"]["within_std"] == 0.5
 
     def test_exponent_notation_is_a_float(self, tmp_path):
         path = tmp_path / "c.yaml"
@@ -129,3 +131,29 @@ class TestLoadConfig:
         path.write_text("rounds: [3\n")
         with pytest.raises(ConfigError, match="invalid YAML"):
             config_mod.load_config(str(path))
+
+
+def dotted_keys(section, prefix=""):
+    for key, value in section.items():
+        if isinstance(value, dict):
+            yield from dotted_keys(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def test_settable_keys():
+    """Every settable key, pinned: a new knob shows up in review."""
+    assert sorted(dotted_keys(config_mod.default_config())) == [
+        "dbscan.epsilon_override", "dbscan.ms", "dbscan.p_count",
+        "dbscan.p_fraction", "embedding_dim", "episode.mode",
+        "episode.n_c_test", "episode.n_c_train", "episode.n_e", "episode.n_q",
+        "episode.n_s", "epochs_per_round", "eval_episodes", "hidden_dims",
+        "knn_k", "loss.kind", "optimizer.learning_rate", "rounds", "seed",
+        "synthetic.cone", "synthetic.dim", "synthetic.direction_candidates",
+        "synthetic.heldout_classes", "synthetic.heldout_offset",
+        "synthetic.heldout_radial_noise", "synthetic.kind",
+        "synthetic.num_classes", "synthetic.points_per_class",
+        "synthetic.radial_noise", "synthetic.radius_min",
+        "synthetic.radius_ratio", "synthetic.seed", "synthetic.separation",
+        "synthetic.tight_cone", "synthetic.within_std",
+    ]

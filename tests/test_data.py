@@ -34,32 +34,16 @@ class TestSynthetic:
             # empirical mean of 200 points: radius within sampling noise
             assert np.linalg.norm(center) == pytest.approx(50.0, abs=0.5)
 
-    def test_noise_dims_are_class_independent(self):
-        spec = data.SyntheticSpec(num_classes=4, points_per_class=100, dim=10,
-                                  separation=20.0, within_std=1.0,
-                                  heldout_classes=0, seed=2,
-                                  noise_dims=4, noise_std=5.0)
-        train, _ = data.generate_synthetic(spec)
-        info = train.features[:, :6]
-        noise = train.features[:, 6:]
-        # class means separate in the informative subspace only
-        info_means = np.stack([info[train.labels == c].mean(0) for c in range(4)])
-        noise_means = np.stack([noise[train.labels == c].mean(0) for c in range(4)])
-        assert np.ptp(info_means) > 10.0
-        assert np.all(np.abs(noise_means) < 2.5)  # 5/sqrt(100) * few sigma
-        assert np.std(noise) == pytest.approx(5.0, rel=0.1)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             data.SyntheticSpec(num_classes=0).validate()
         with pytest.raises(ValueError):
-            data.SyntheticSpec(dim=4, noise_dims=4).validate()
+            data.SyntheticSpec(heldout_classes=-1).validate()
         with pytest.raises(ValueError):
             data.SyntheticSpec(within_std=-1.0).validate()
 
     @pytest.mark.parametrize("kind, field", [
-        ("blobs", "separation"), ("blobs", "within_std"),
-        ("blobs", "noise_std"), ("rays", "radius_min"),
+        ("blobs", "separation"), ("blobs", "within_std"), ("rays", "radius_min"),
         ("rays", "radius_ratio"), ("rays", "cone"), ("rays", "tight_cone"),
         ("rays", "heldout_offset"), ("rays", "radial_noise"),
         ("rays", "heldout_radial_noise"),
@@ -152,15 +136,23 @@ class TestRaySynthetic:
         # greedy max-min spacing keeps every pair of rays apart
         assert angles.min() > 0.01
 
+    def test_every_class_tight(self):
+        # no widely spread rays: the train set still has num_classes classes
+        train, test = data.generate_synthetic(self.make_spec(
+            num_classes=5, heldout_classes=5, direction_candidates=50))
+        assert np.array_equal(np.unique(train.labels), np.arange(5))
+        assert train.features.shape == (250, 32)
+        assert np.array_equal(np.unique(test.labels), np.arange(5))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             data.SyntheticSpec(kind="spiral").validate()
         with pytest.raises(ValueError):
-            self.make_spec(heldout_classes=3).validate()
+            self.make_spec(heldout_classes=21).validate()
         with pytest.raises(ValueError):
             self.make_spec(radius_ratio=0.5).validate()
         with pytest.raises(ValueError):
-            self.make_spec(tight_classes=0).validate()
+            self.make_spec(heldout_classes=0).validate()
         with pytest.raises(ValueError):
             self.make_spec(direction_candidates=10).validate()
 
