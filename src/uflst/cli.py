@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from . import config as config_mod
 from . import data, episodes, evaluate, losses, network, pipeline
-from .errors import DatasetParseError, UflstError
+from .errors import ConfigError, DatasetParseError, UflstError
 
 log = logging.getLogger("uflst")
 
@@ -51,7 +51,7 @@ def _load_labels(path, n):
     for i, row in enumerate(rows):
         try:
             index, labels[i] = (int(v) for v in row)
-        except ValueError:
+        except (ValueError, OverflowError):
             index = None
         if index != i:
             raise DatasetParseError(f"{path}: line {i + 2}: expected "
@@ -61,7 +61,7 @@ def _load_labels(path, n):
 
 def _load_dataset_dir(path, split, need_labels=False):
     features_path = os.path.join(path, f"{split}.raw64")
-    ds = data.load_matrix_dataset(features_path, "raw64")
+    ds = data.load_matrix_dataset(features_path)
     labels_path = os.path.join(path, f"{split}.labels.csv")
     if os.path.exists(labels_path):
         ds.labels = _load_labels(labels_path, ds.n)
@@ -130,7 +130,7 @@ def cmd_cluster(args):
     cfg = config_mod.load_config(args.config, args.overrides)
     train_cfg = config_mod.build_train_config(cfg)
     params = pipeline.load_checkpoint(args.checkpoint).params
-    ds = data.load_matrix_dataset(args.features, args.fmt)
+    ds = data.load_matrix_dataset(args.features)
     pl, epsilon, rungs = pipeline.run_clustering_phase(
         params, ds.features, train_cfg.knn_k, train_cfg.dbscan
     )
@@ -180,7 +180,10 @@ def _gradcheck_loss(kind, emb0, labels, support_mask):
     return lambda emb: losses.indexed_triplet_loss(fn, emb, a, p, n)
 
 
-def run_gradient_suite(seed=0, trials=5, tol=1e-4, step=4e-3):
+GRADCHECK_TOL = 1e-4   # a loss passes when its worst relative error is below
+
+
+def run_gradient_suite(seed=0, trials=5):
     """Finite-difference checks of each loss through a small encoder.
 
     Trials landing too close to a relu or hinge kink are resampled, since
@@ -200,16 +203,16 @@ def run_gradient_suite(seed=0, trials=5, tol=1e-4, step=4e-3):
             labels, support_mask = episodes.episode_layout(3, 3, 1)
             emb0, cache = network.forward(params, batch)
             relu_margin = min(np.min(np.abs(z)) for z in cache["pre_acts"][:-1])
-            if relu_margin < 10 * step:
+            if relu_margin < 10 * network.GRADCHECK_STEP:
                 continue
             fn = _gradcheck_loss(kind, emb0, labels, support_mask)
             if fn is None:
                 continue
-            err = network.gradient_check(fn, params, batch, step=step)
+            err = network.gradient_check(fn, params, batch)
             worst = max(worst, err)
             done += 1
         results[kind] = worst
-    ok = all(v < tol for v in results.values())
+    ok = all(v < GRADCHECK_TOL for v in results.values())
     return results, ok
 
 
@@ -258,7 +261,6 @@ def build_parser():
     p = sub.add_parser("cluster", help="one clustering phase on a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--features", required=True)
-    p.add_argument("--fmt", default="raw64", choices=["raw64", "dsv", "idx"])
     p.add_argument("--out", required=True, help="pseudo-label CSV to write")
     _add_common(p)
     p.set_defaults(fn=cmd_cluster)
@@ -291,6 +293,8 @@ def main(argv=None):
     if getattr(args, "config", None) and not os.path.exists(args.config):
         parser.exit(2, f"uflst: config file not found: {args.config}\n")
     try:
+        if getattr(args, "seed", 0) < 0:   # the --seed of eval and gradcheck
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
     except (UflstError, OSError) as exc:
         print(f"uflst: error: {exc}", file=sys.stderr)

@@ -49,12 +49,11 @@ class PseudoLabeledSet:
     labels: np.ndarray
     num_clusters: int
     outlier_indices: np.ndarray
-    class_members: list = field(default=None)  # per label: kept original indices
+    class_members: list = field(init=False)  # per label: kept original indices
 
     def __post_init__(self):
-        if self.class_members is None:
-            self.class_members = [self.kept_indices[rows] for rows
-                                  in metric.label_groups(self.labels)]
+        self.class_members = [self.kept_indices[rows] for rows
+                              in metric.label_groups(self.labels)]
 
 
 def _pairs(values):

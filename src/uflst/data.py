@@ -18,7 +18,6 @@ from .errors import ConfigError, DatasetParseError, InputError
 from .evaluate import RoundMetrics
 
 RAW64_MAGIC = b"UFLSTD\0\0"
-IDX_UBYTE = 0x08
 
 
 @dataclass
@@ -68,6 +67,8 @@ class SyntheticSpec:
             raise ConfigError(f"unknown synthetic kind {self.kind!r}")
         if self.num_classes < 1 or self.points_per_class < 1 or self.dim < 1:
             raise ConfigError("class/point/dim counts must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.kind == "blobs":
             if self.heldout_classes < 0:
                 raise ConfigError("heldout_classes must be nonnegative")
@@ -205,7 +206,8 @@ def save_raw64(path, features):
         f.write(features.astype("<f8").tobytes())
 
 
-def _load_raw64(path):
+def load_matrix_dataset(path):
+    """The features of a raw64 file; they must all be finite."""
     with open(path, "rb") as f:
         magic = f.read(len(RAW64_MAGIC))
         if magic != RAW64_MAGIC:
@@ -222,72 +224,7 @@ def _load_raw64(path):
         raise DatasetParseError(
             f"{path}: expected {expected} payload bytes, got {len(body)}"
         )
-    return np.frombuffer(body, dtype="<f8").astype(np.float64).reshape(n, d)
-
-
-def _load_dsv(path):
-    rows = []
-    width = None
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if width is None:
-                width = len(parts)
-            elif len(parts) != width:
-                raise DatasetParseError(
-                    f"{path}: ragged row at line {lineno} "
-                    f"({len(parts)} fields, expected {width})"
-                )
-            try:
-                vals = [float(p) for p in parts]
-            except ValueError as exc:
-                raise DatasetParseError(
-                    f"{path}: non-numeric field at line {lineno}: {exc}"
-                ) from exc
-            rows.append(vals)
-    if not rows:
-        raise DatasetParseError(f"{path}: no data rows")
-    return np.array(rows, dtype=np.float64)
-
-
-def _load_idx(path):
-    with open(path, "rb") as f:
-        header = f.read(4)
-        if len(header) != 4 or header[0] != 0 or header[1] != 0:
-            raise DatasetParseError(f"{path}: bad IDX magic at byte 0")
-        if header[2] != IDX_UBYTE:
-            raise DatasetParseError(
-                f"{path}: unsupported IDX type 0x{header[2]:02x} at byte 2"
-            )
-        ndim = header[3]
-        dims_raw = f.read(4 * ndim)
-        if len(dims_raw) != 4 * ndim:
-            raise DatasetParseError(f"{path}: truncated IDX dimension header")
-        dims = struct.unpack(">" + "I" * ndim, dims_raw)
-        body = f.read()
-    count = dims[0] if ndim > 0 else 0
-    per_item = int(np.prod(dims[1:])) if ndim > 1 else 1
-    if len(body) != count * per_item:
-        raise DatasetParseError(
-            f"{path}: expected {count * per_item} pixel bytes, got {len(body)}"
-        )
-    pixels = np.frombuffer(body, dtype=np.uint8).astype(np.float64) / 255.0
-    return pixels.reshape(count, per_item)
-
-
-def load_matrix_dataset(path, fmt):
-    """Load a dataset file; fmt is one of raw64 | dsv | idx."""
-    if fmt == "raw64":
-        feats = _load_raw64(path)
-    elif fmt == "dsv":
-        feats = _load_dsv(path)
-    elif fmt == "idx":
-        feats = _load_idx(path)
-    else:
-        raise DatasetParseError(f"unknown dataset format {fmt!r}")
+    feats = np.frombuffer(body, dtype="<f8").astype(np.float64).reshape(n, d)
     if not np.all(np.isfinite(feats)):
         raise InputError(f"{path}: dataset contains non-finite values")
     return Dataset(features=feats)

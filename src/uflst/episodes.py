@@ -31,9 +31,9 @@ class EpisodeConfig:
     def validate(self):
         if self.n_c_train < 2 or self.n_c_test < 2:
             raise ConfigError("need at least 2 ways for train and test")
+        if self.n_s < 1 or self.n_q < 1:
+            raise ConfigError("the test protocol needs n_s >= 1 and n_q >= 1")
         if self.mode == PROTOTYPE:
-            if self.n_s < 1 or self.n_q < 1:
-                raise ConfigError("prototype mode needs n_s >= 1 and n_q >= 1")
             if self.n_e != self.n_s + self.n_q:
                 raise ConfigError("prototype mode requires n_e = n_s + n_q")
         elif self.mode == TRIPLET:

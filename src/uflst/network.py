@@ -191,7 +191,11 @@ def adam_step(params, grad, config, epoch):
     return params
 
 
-def gradient_check(loss_fn, params, batch, step=4e-3):
+# Base step of `gradient_check`'s central differences
+GRADCHECK_STEP = 4e-3
+
+
+def gradient_check(loss_fn, params, batch):
     """Max relative error between analytic and central-difference gradients.
 
     `loss_fn(embeddings) -> (scalar, d_loss/d_embeddings)` must be a fixed
@@ -226,7 +230,7 @@ def gradient_check(loss_fn, params, batch, step=4e-3):
     max_err = 0.0
     for i, analytic in enumerate(grad):
         errs = []
-        for h in (step, 2 * step):
+        for h in (GRADCHECK_STEP, 2 * GRADCHECK_STEP):
             numeric = richardson(i, h)
             errs.append(abs(analytic - numeric)
                         / max(abs(analytic), abs(numeric), 1e-8))

@@ -49,6 +49,8 @@ class TrainConfig:
             raise ConfigError("knn_k and embedding_dim must be >= 1")
         if self.eval_episodes < 0:
             raise ConfigError("eval_episodes must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         self.optimizer.validate()
         self.dbscan.validate()
         self.episode.validate()

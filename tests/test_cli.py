@@ -1,3 +1,4 @@
+import argparse
 import csv
 import logging
 import os
@@ -18,6 +19,26 @@ from test_pipeline import two_triples
 
 def run_cli(args):
     return cli.main(args)
+
+
+def cli_process(*args):
+    """`uflst ARGS` in a child process."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "uflst.cli", *args],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+
+
+def assert_one_error_line(proc):
+    """Exit 1, nothing on stdout and one `uflst: error:` line on stderr,
+    which is returned."""
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("uflst: error:")
+    return lines[0]
 
 
 @pytest.fixture(scope="module")
@@ -95,19 +116,17 @@ class TestEval:
     @pytest.mark.parametrize("episodes", ["-1", "0"])
     def test_fewer_than_one_episode_exits_1(self, synth_dir, trained_run,
                                             episodes):
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-m", "uflst.cli", "eval", "--checkpoint",
-             str(trained_run / "final_model.ckpt"), "--data", str(synth_dir),
-             "--episodes", episodes, "episode.n_c_test=3"],
-            capture_output=True, text=True,
-            env=dict(os.environ, PYTHONPATH=src),
-        )
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        assert "Warning" not in proc.stderr and proc.stdout == ""
-        lines = proc.stderr.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("uflst: error:")
+        proc = cli_process(
+            "eval", "--checkpoint", str(trained_run / "final_model.ckpt"),
+            "--data", str(synth_dir), "--episodes", episodes,
+            "episode.n_c_test=3")
+        assert "Warning" not in proc.stderr
+        assert_one_error_line(proc)
+
+    def test_negative_seed_exits_1(self, synth_dir, trained_run):
+        assert_one_error_line(cli_process(
+            "eval", "--checkpoint", str(trained_run / "final_model.ckpt"),
+            "--data", str(synth_dir), "--seed", "-1", "episode.n_c_test=3"))
 
 
 class TestCluster:
@@ -142,6 +161,24 @@ class TestCluster:
             "['epsilon_x1.5_#1', 'epsilon_x1.5_#2']\n")
         with open(tmp_path / "pl.csv", newline="") as f:
             assert [row[1] for row in csv.reader(f)][1:] == ["0"] * 6
+
+    def test_non_raw64_features_exit_1(self, trained_run, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("1.0,2.0\n3.0,4.0\n")
+        line = assert_one_error_line(cli_process(
+            "cluster", "--checkpoint", str(trained_run / "final_model.ckpt"),
+            "--features", str(path), "--out", str(tmp_path / "pl.csv")))
+        assert line.startswith(f"uflst: error: {path}: bad raw64 magic")
+        assert line.endswith("at byte 0")
+        assert not (tmp_path / "pl.csv").exists()
+
+    def test_fmt_option_is_gone(self, synth_dir, trained_run, tmp_path):
+        proc = cli_process(
+            "cluster", "--checkpoint", str(trained_run / "final_model.ckpt"),
+            "--features", str(synth_dir / "train.raw64"),
+            "--out", str(tmp_path / "pl.csv"), "--fmt", "raw64")
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --fmt" in proc.stderr
 
 
 class TestErrors:
@@ -179,6 +216,7 @@ class TestConfigErrors:
         ("synth", "synthetic.separation=.nan"),
         ("synth", "synthetic.separation=.inf"),
         ("synth", "synthetic.heldout_classes=-1"),
+        ("synth", "synthetic.seed=-1"),
         ("synth", None),   # malformed --config file
         *(("synth" if key.startswith("synthetic.") else "train", key)
           for key in REMOVED_KEYS),
@@ -193,18 +231,9 @@ class TestConfigErrors:
             args += ["--config", str(bad)]
         else:
             args.append(override)
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-m", "uflst.cli", command, *args],
-            capture_output=True, text=True,
-            env=dict(os.environ, PYTHONPATH=src),
-        )
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        lines = proc.stderr.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("uflst: error:")
+        line = assert_one_error_line(cli_process(command, *args))
         if override in REMOVED_KEYS:
-            assert lines[0].startswith("uflst: error: unknown config key")
+            assert line.startswith("uflst: error: unknown config key")
 
 
 TRAIN_ARGS = ["rounds=1", "epochs_per_round=1", "hidden_dims=[16]",
@@ -222,15 +251,10 @@ def rewrite_labels(path, edit):
 
 def run_train_process(data_dir, run_dir, overrides, resume=None):
     """`uflst train` in a child process: (exit code, stderr lines)."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
     args = ["train", "--data", str(data_dir), "--run-dir", str(run_dir)]
     if resume:
         args += ["--resume", str(resume)]
-    proc = subprocess.run(
-        [sys.executable, "-m", "uflst.cli", *args, *overrides],
-        capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=src),
-    )
+    proc = cli_process(*args, *overrides)
     assert "Traceback" not in proc.stderr
     return proc.returncode, proc.stderr.strip().splitlines()
 
@@ -250,6 +274,10 @@ BAD_OVERRIDES = {
     "inf_learning_rate": "optimizer.learning_rate=.inf",
     # the 5 heldout classes cannot fill a 6-way test episode
     "test_way_above_test_classes": "episode.n_c_test=6",
+    "negative_seed": "seed=-1",
+    # the test protocol needs a support and a query shot in either mode
+    "zero_support_shots": "episode.n_s=0",
+    "zero_query_shots": "episode.n_q=0",
 }
 
 
@@ -259,8 +287,8 @@ class TestBadRunInputs:
 
     @pytest.mark.parametrize("case", [
         "fewer_label_rows", "more_label_rows", "non_integer_label",
-        "swapped_label_rows", "missing_test_labels", "wider_test_features",
-        *BAD_OVERRIDES,
+        "swapped_label_rows", "label_beyond_int64", "missing_test_labels",
+        "wider_test_features", *BAD_OVERRIDES,
     ])
     def test_exits_1_before_any_round(self, synth_dir, tmp_path, case):
         data_dir = tmp_path / "data"
@@ -277,11 +305,13 @@ class TestBadRunInputs:
         elif case == "swapped_label_rows":
             rewrite_labels(data_dir / "train.labels.csv",
                            lambda r: r[:5] + [r[6], r[5]] + r[7:])
+        elif case == "label_beyond_int64":
+            rewrite_labels(data_dir / "train.labels.csv",
+                           lambda r: r[:1] + [[0, 10 ** 20]] + r[2:])
         elif case == "missing_test_labels":
             os.remove(data_dir / "test.labels.csv")
         elif case == "wider_test_features":
-            test = data.load_matrix_dataset(str(data_dir / "test.raw64"),
-                                            "raw64")
+            test = data.load_matrix_dataset(str(data_dir / "test.raw64"))
             data.save_raw64(str(data_dir / "test.raw64"),
                             np.hstack([test.features, test.features[:, :1]]))
         else:
@@ -418,3 +448,26 @@ class TestGradcheckCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "prototype" in out and "triplet_hinge" in out
+
+    def test_negative_seed_exits_1(self):
+        assert_one_error_line(cli_process("gradcheck", "--seed", "-1"))
+
+
+def test_subcommand_options():
+    """Every option of every subcommand, pinned: a new flag shows up in
+    review."""
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = {name: sorted(s for a in sub._actions for s in a.option_strings)
+               for name, sub in subparsers.choices.items()}
+    assert options == {
+        "train": ["--config", "--data", "--help", "--resume", "--run-dir",
+                  "-h"],
+        "cluster": ["--checkpoint", "--config", "--features", "--help",
+                    "--out", "-h"],
+        "eval": ["--checkpoint", "--config", "--data", "--episodes", "--help",
+                 "--seed", "-h"],
+        "gradcheck": ["--help", "--seed", "--trials", "-h"],
+        "synth": ["--config", "--help", "--out", "-h"],
+    }

@@ -163,14 +163,14 @@ class TestRaw64:
         feats = rng.normal(size=(7, 3))
         path = tmp_path / "x.raw64"
         data.save_raw64(path, feats)
-        ds = data.load_matrix_dataset(path, "raw64")
+        ds = data.load_matrix_dataset(path)
         assert np.array_equal(ds.features, feats)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.raw64"
         path.write_bytes(b"WRONGMAG" + struct.pack("<II", 1, 1) + b"\0" * 8)
         with pytest.raises(DatasetParseError, match="byte 0"):
-            data.load_matrix_dataset(path, "raw64")
+            data.load_matrix_dataset(path)
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "x.raw64"
@@ -178,75 +178,13 @@ class TestRaw64:
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
         with pytest.raises(DatasetParseError, match="payload"):
-            data.load_matrix_dataset(path, "raw64")
+            data.load_matrix_dataset(path)
 
     def test_nonfinite_rejected(self, tmp_path):
         path = tmp_path / "x.raw64"
         data.save_raw64(path, np.array([[1.0, np.nan]]))
         with pytest.raises(InputError):
-            data.load_matrix_dataset(path, "raw64")
-
-
-class TestDsv:
-    def test_basic(self, tmp_path):
-        path = tmp_path / "x.csv"
-        path.write_text("1.0,2.0\n3.0,4.0\n\n5.0,6.0\n")
-        ds = data.load_matrix_dataset(path, "dsv")
-        assert np.array_equal(ds.features, [[1, 2], [3, 4], [5, 6]])
-
-    def test_ragged_row_line_number(self, tmp_path):
-        path = tmp_path / "x.csv"
-        path.write_text("1,2\n3,4\n5,6,7\n")
-        with pytest.raises(DatasetParseError, match="line 3"):
-            data.load_matrix_dataset(path, "dsv")
-
-    def test_non_numeric_line_number(self, tmp_path):
-        path = tmp_path / "x.csv"
-        path.write_text("1,2\n3,oops\n")
-        with pytest.raises(DatasetParseError, match="line 2"):
-            data.load_matrix_dataset(path, "dsv")
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "x.csv"
-        path.write_text("\n\n")
-        with pytest.raises(DatasetParseError):
-            data.load_matrix_dataset(path, "dsv")
-
-
-class TestIdx:
-    def write_idx(self, path, array):
-        array = np.asarray(array, dtype=np.uint8)
-        with open(path, "wb") as f:
-            f.write(bytes([0, 0, 0x08, array.ndim]))
-            for d in array.shape:
-                f.write(struct.pack(">I", d))
-            f.write(array.tobytes())
-
-    def test_images_flattened_scaled(self, tmp_path):
-        path = tmp_path / "x.idx"
-        imgs = np.arange(24, dtype=np.uint8).reshape(2, 3, 4)
-        self.write_idx(path, imgs)
-        ds = data.load_matrix_dataset(path, "idx")
-        assert ds.features.shape == (2, 12)
-        assert np.allclose(ds.features, imgs.reshape(2, 12) / 255.0)
-
-    def test_bad_type_code(self, tmp_path):
-        path = tmp_path / "x.idx"
-        path.write_bytes(bytes([0, 0, 0x0D, 1]) + struct.pack(">I", 0))
-        with pytest.raises(DatasetParseError, match="byte 2"):
-            data.load_matrix_dataset(path, "idx")
-
-    def test_truncated_pixels(self, tmp_path):
-        path = tmp_path / "x.idx"
-        self.write_idx(path, np.zeros((3, 4), dtype=np.uint8))
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-2])
-        with pytest.raises(DatasetParseError, match="pixel"):
-            data.load_matrix_dataset(path, "idx")
-
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(DatasetParseError):
-            data.load_matrix_dataset(tmp_path / "x", "parquet")
+            data.load_matrix_dataset(path)
 
 
 class TestNumberFormatting:
