@@ -189,6 +189,8 @@ def run_gradient_suite(seed=0, trials=5):
     Trials landing too close to a relu or hinge kink are resampled, since
     a central difference stepping across a kink measures the wrong thing.
     """
+    if trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {trials}")
     results = {}
     for kind_tag, kind in enumerate(GRADCHECK_KINDS):
         worst = 0.0

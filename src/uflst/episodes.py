@@ -5,6 +5,12 @@ held as one (n_c, n_e) array of dataset indices; in prototype mode the
 first n_s columns are the support and the other n_q the query.  Training
 and evaluation embed the flattened block and read its rows through
 `episode_layout`.
+
+An episode is 1 + n_c `Generator.choice(..., replace=False)` calls: the
+classes, then the members of each chosen class.  `sample_episodes` draws
+many episodes at once through `draws`, with the same blocks and the same
+generator state as making those calls one episode after another; it
+makes the calls themselves for a chunk where the batch cannot be exact.
 """
 
 from __future__ import annotations
@@ -13,10 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import draws
 from .errors import ConfigError, EpisodeInfeasibleError
 
 PROTOTYPE = "prototype"
 TRIPLET = "triplet"
+CHUNK = 256   # episodes per batched draw, which bounds its scratch arrays
 
 
 @dataclass
@@ -59,13 +67,73 @@ def sample_episode(members, n_c, n_e, rng):
     from `members` (one index array per class), then n_e distinct members
     of each.  Row c holds class c; in prototype mode its first n_s columns
     are the support and the rest the query."""
+    return sample_episodes(members, n_c, n_e, 1, rng)[0]
+
+
+def sample_episodes(members, n_c, n_e, count, rng):
+    """A (count, n_c, n_e) array of `count` episode blocks, equal to
+    `count` `sample_episode` calls in a row and leaving `rng` in the same
+    state."""
     if len(members) < n_c:
         raise EpisodeInfeasibleError(
             f"{len(members)} eligible classes < way {n_c}"
         )
+    sizes = np.array([len(m) for m in members], dtype=np.int64)
+    batched = (draws.exact() and sizes.min() >= n_e
+               and draws.floyd_fits(len(members), n_c)
+               and draws.floyd_fits(sizes, n_e))
+    flat = np.concatenate(members) if batched else None
+    blocks = []
+    for done in range(0, count, CHUNK):
+        todo = min(CHUNK, count - done)
+        block = (_draw_chunk(sizes, flat, n_c, n_e, todo, rng)
+                 if batched else None)
+        if block is None:
+            block = np.stack([_choice_episode(members, n_c, n_e, rng)
+                              for _ in range(todo)])
+        blocks.append(block)
+    return np.concatenate(blocks)
+
+
+def _choice_episode(members, n_c, n_e, rng):
     chosen = rng.choice(len(members), size=n_c, replace=False)
     return np.stack([rng.choice(members[c], size=n_e, replace=False)
                      for c in chosen])
+
+
+def _draw_chunk(sizes, flat, n_c, n_e, count, rng):
+    """`count` episodes from one lookahead block of outputs, for classes of
+    `sizes` members laid end to end in `flat`: each episode's classes in
+    scalar Python (the next episode starts where this one's member draws
+    end), then every (episode, class) row's members at once.  Returns
+    None, with `rng` untouched, when numpy would have drawn again."""
+    class_outputs = int(draws.choice_outputs(sizes.size, n_c))
+    row_outputs = 2 * n_e - 1
+    ahead = draws.Lookahead(rng, count * (class_outputs + n_c * row_outputs))
+    full = (sizes == n_e).tolist()
+    chosen = np.empty((count, n_c), dtype=np.int64)
+    first_row = np.empty(count, dtype=np.int64)
+    at = 0
+    for e in range(count):
+        classes = draws.choice_scalar(
+            ahead.u[at:at + class_outputs].tolist(), sizes.size, n_c)
+        if classes is None:
+            ahead.rewind()
+            return None
+        chosen[e] = classes
+        at += class_outputs
+        first_row[e] = at
+        at += n_c * row_outputs - sum(full[c] for c in classes)
+    pop = sizes[chosen]
+    used = draws.choice_outputs(pop, n_e)
+    start = first_row[:, None] + np.cumsum(used, axis=1) - used
+    picks, redraw = draws.choice_rows(ahead.u, start.ravel(), pop.ravel(), n_e)
+    if redraw:
+        ahead.rewind()
+        return None
+    ahead.commit(at)
+    offsets = (np.cumsum(sizes) - sizes)[chosen].reshape(-1, 1)
+    return flat[offsets + picks].reshape(count, n_c, n_e)
 
 
 def episode_layout(n_c, n_e, n_s):

@@ -80,9 +80,11 @@ def eval_members(params, features, labels, protocol):
 def few_shot_accuracy(params, features, labels, protocol, n_episodes, rng):
     """Mean and std of nearest-prototype accuracy over evaluation episodes.
 
-    Every episode is an (n_c_test, n_s + n_q) block from
-    `episodes.sample_episode`.  The encoder embeds it in block order, and
-    each query goes to the nearest prototype of the support rows that
+    The `n_episodes` (n_c_test, n_s + n_q) blocks come from one
+    `episodes.sample_episodes` call: the same blocks, and the same `rng`
+    state after them, as that many `episodes.sample_episode` calls.  The
+    encoder embeds each block in block order, and each query goes to
+    the nearest prototype of the support rows that
     `episodes.episode_layout` marks.
     """
     if n_episodes < 1:
@@ -92,9 +94,9 @@ def few_shot_accuracy(params, features, labels, protocol, n_episodes, rng):
     way, per_class = protocol.n_c_test, protocol.n_s + protocol.n_q
     classes, support = episodes.episode_layout(way, per_class, protocol.n_s)
     query = ~support
+    blocks = episodes.sample_episodes(members, way, per_class, n_episodes, rng)
     accs = np.empty(n_episodes)
-    for e in range(n_episodes):
-        block = episodes.sample_episode(members, way, per_class, rng)
+    for e, block in enumerate(blocks):
         emb, _ = network.forward(params, features[block.ravel()])
         pred = nearest_prototype_predict(emb[support], classes[support],
                                          emb[query])

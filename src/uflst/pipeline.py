@@ -155,10 +155,17 @@ def run_episodic_phase(params, features, pl, config, rng):
     batches_per_epoch = max(1, math.ceil(n_kept / (way * cfg.n_e)))
     total = config.epochs_per_round * batches_per_epoch
     labels, support_mask = episodes.episode_layout(way, cfg.n_e, cfg.n_s)
+    # Hard mining and the prototype loss draw nothing, so the round's
+    # blocks come from `rng` in one batch; random triplets take their
+    # draws between one episode's and the next.
+    blocks = None
+    if config.loss.kind in (losses.HARD_TRIPLET_KIND, losses.PROTOTYPE_KIND):
+        blocks = episodes.sample_episodes(members, way, cfg.n_e, total, rng)
     loss_sum = 0.0
     for s in range(total):
         epoch = s // batches_per_epoch + 1
-        block = episodes.sample_episode(members, way, cfg.n_e, rng)
+        block = (episodes.sample_episode(members, way, cfg.n_e, rng)
+                 if blocks is None else blocks[s])
         emb, cache = network.forward(params, features[block.ravel()])
         loss, demb = losses.episode_loss(emb, labels, support_mask,
                                          config.loss, rng=rng)

@@ -452,6 +452,12 @@ class TestGradcheckCommand:
     def test_negative_seed_exits_1(self):
         assert_one_error_line(cli_process("gradcheck", "--seed", "-1"))
 
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_fewer_than_one_trial_exits_1(self, trials):
+        line = assert_one_error_line(
+            cli_process("gradcheck", "--trials", trials))
+        assert "--trials must be >= 1" in line
+
 
 def test_subcommand_options():
     """Every option of every subcommand, pinned: a new flag shows up in

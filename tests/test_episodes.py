@@ -1,7 +1,10 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from uflst import cluster, episodes
+from uflst import cluster, draws, episodes
 from uflst.errors import EpisodeInfeasibleError
 
 
@@ -16,6 +19,59 @@ def make_pl(class_sizes):
         num_clusters=len(class_sizes),
         outlier_indices=np.empty(0, dtype=np.int64),
     )
+
+
+def reference_sample_episode(members, n_c, n_e, rng):
+    """One episode as 1 + n_c `Generator.choice` calls: the classes, then
+    the members of each chosen class."""
+    if len(members) < n_c:
+        raise EpisodeInfeasibleError(
+            f"{len(members)} eligible classes < way {n_c}"
+        )
+    chosen = rng.choice(len(members), size=n_c, replace=False)
+    return np.stack([rng.choice(members[c], size=n_e, replace=False)
+                     for c in chosen])
+
+
+def reference_episodes(members, n_c, n_e, count, rng):
+    return np.stack([reference_sample_episode(members, n_c, n_e, rng)
+                     for _ in range(count)])
+
+
+def rng_pair(seed, buffered=False):
+    """Two generators in one state; `buffered` leaves the upper half of a
+    64-bit output waiting to be the next 32-bit draw."""
+    pair = [np.random.default_rng(seed) for _ in range(2)]
+    if buffered:
+        for rng in pair:
+            rng.integers(0, 2**32, dtype=np.uint32)
+    return pair
+
+
+def redraw_state():
+    """A generator whose next 32-bit draw is 0, which Lemire's method
+    rejects for any range whose size is not a power of two."""
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    state["has_uint32"], state["uinteger"] = 1, 0
+    rng.bit_generator.state = state
+    return rng
+
+
+@st.composite
+def sampling_cases(draw):
+    n_e = draw(st.integers(1, 5))
+    n_classes = draw(st.integers(2, 12))
+    n_c = draw(st.sampled_from([2, n_classes, draw(st.integers(2, n_classes))]))
+    # a class of exactly n_e members makes a Floyd step with nothing to draw
+    sizes = draw(st.lists(st.integers(n_e, n_e + 4), min_size=n_classes,
+                          max_size=n_classes))
+    count = draw(st.one_of(st.integers(1, 6),
+                           st.integers(episodes.CHUNK - 2, episodes.CHUNK + 3)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    perm = np.random.default_rng(seed).permutation(sum(sizes))
+    members = np.split(perm, np.cumsum(sizes)[:-1])
+    return members, n_c, n_e, count, seed, draw(st.booleans())
 
 
 class TestConfig:
@@ -113,3 +169,65 @@ class TestSampling:
             block = episodes.sample_episode(pl.class_members, 3, 4, rng)
             seen.update(pl.labels[block[:, 0]].tolist())
         assert seen == set(range(10))
+
+
+class TestBatchMatchesLoop:
+    """`sample_episodes` against looping `reference_sample_episode`: the
+    same blocks and the same generator state after them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sampling_cases())
+    # every class exactly n_e members, way equal to the class count, a
+    # count past one chunk and a buffered half-word; then n_e = 1
+    @example((np.split(np.arange(12), 3), 3, 4, episodes.CHUNK + 1, 5, True))
+    @example((np.split(np.arange(15), 5), 2, 1, 3, 6, False))
+    def test_blocks_and_state(self, case):
+        members, n_c, n_e, count, seed, buffered = case
+        batch_rng, loop_rng = rng_pair(seed, buffered)
+        got = episodes.sample_episodes(members, n_c, n_e, count, batch_rng)
+        want = reference_episodes(members, n_c, n_e, count, loop_rng)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
+
+    def test_emulation_is_exact_on_this_numpy(self):
+        assert draws.exact()
+
+    def test_chunk_that_would_redraw_falls_back(self):
+        members = np.split(np.arange(70), 7)
+        # the first class draw spans 5 values, so an output of 0 is redrawn
+        rng = redraw_state()
+        state = rng.bit_generator.state
+        assert episodes._draw_chunk(np.full(7, 10), np.arange(70), 3, 4, 2,
+                                    rng) is None
+        assert rng.bit_generator.state == state
+        loop_rng = redraw_state()
+        got = episodes.sample_episodes(members, 3, 4, 2, rng)
+        assert np.array_equal(got, reference_episodes(members, 3, 4, 2,
+                                                      loop_rng))
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+    def test_failed_probe_warns_and_loops(self, monkeypatch, caplog):
+        monkeypatch.setattr(draws, "_probe", lambda: False)
+        monkeypatch.setattr(draws, "choice_rows", None)   # unreachable now
+        members = np.split(np.arange(40), 8)
+        batch_rng, loop_rng = rng_pair(3)
+        draws.exact.cache_clear()
+        try:
+            with caplog.at_level(logging.WARNING, logger="uflst"):
+                got = episodes.sample_episodes(members, 4, 3, 5, batch_rng)
+                episodes.sample_episodes(members, 4, 3, 5, batch_rng)
+        finally:
+            draws.exact.cache_clear()
+        assert np.array_equal(got, reference_episodes(members, 4, 3, 5,
+                                                      loop_rng))
+        assert len(caplog.records) == 1
+        assert "one call at a time" in caplog.records[0].getMessage()
+
+    def test_member_sample_past_floyd_range_loops(self):
+        # numpy samples 300 of 12,000 by a tail shuffle, not Floyd
+        members = np.split(np.arange(24_000), 2)
+        batch_rng, loop_rng = rng_pair(4)
+        got = episodes.sample_episodes(members, 2, 300, 2, batch_rng)
+        assert np.array_equal(got, reference_episodes(members, 2, 300, 2,
+                                                      loop_rng))
+        assert batch_rng.bit_generator.state == loop_rng.bit_generator.state

@@ -320,7 +320,62 @@ class TestMining:
             losses.mine_hard_triplets(np.zeros((3, 2)), np.zeros(3, dtype=int))
 
 
+def reference_random_triplets(labels, rng):
+    """One (positive, negative) pair per anchor with a same-class partner:
+    two scalar `rng.choice` calls per anchor, anchors in index order."""
+    labels = np.asarray(labels, dtype=np.int64)
+    n = labels.size
+    anchors, positives, negatives = [], [], []
+    for i in range(n):
+        same = np.flatnonzero((labels == labels[i]) & (np.arange(n) != i))
+        if same.size == 0:
+            continue
+        other = np.flatnonzero(labels != labels[i])
+        anchors.append(i)
+        positives.append(int(rng.choice(same)))
+        negatives.append(int(rng.choice(other)))
+    return (
+        np.array(anchors, dtype=np.intp),
+        np.array(positives, dtype=np.intp),
+        np.array(negatives, dtype=np.intp),
+    )
+
+
+def assert_same_triplets(labels, batch_rng, loop_rng):
+    got = losses.random_triplets(labels, batch_rng)
+    want = reference_random_triplets(labels, loop_rng)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
 class TestRandomTriplets:
+    @settings(max_examples=200, deadline=None)
+    @given(labels=st.lists(st.integers(0, 5), min_size=2, max_size=60)
+           .filter(lambda xs: len(set(xs)) > 1),
+           seed=st.integers(0, 2**32 - 1), buffered=st.booleans())
+    def test_matches_choice_loop(self, labels, seed, buffered):
+        # singleton classes (no anchor), one-candidate picks (no draw) and
+        # a buffered upper half-word all come up
+        batch_rng, loop_rng = (np.random.default_rng(seed) for _ in range(2))
+        if buffered:
+            for rng in (batch_rng, loop_rng):
+                rng.integers(0, 2**32, dtype=np.uint32)
+        assert_same_triplets(np.array(labels), batch_rng, loop_rng)
+
+    def test_redraw_falls_back(self):
+        # the first pick spans 3 values, so a next output of 0 is redrawn
+        def redraw_rng():
+            rng = np.random.default_rng(0)
+            state = rng.bit_generator.state
+            state["has_uint32"], state["uinteger"] = 1, 0
+            rng.bit_generator.state = state
+            return rng
+
+        labels = np.array([0, 0, 0, 0, 1, 1])
+        assert losses._draw_triplets(labels, redraw_rng()) is None
+        assert_same_triplets(labels, redraw_rng(), redraw_rng())
+
     def test_validity(self):
         rng = np.random.default_rng(5)
         labels = np.repeat(np.arange(4), 4)

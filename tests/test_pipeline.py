@@ -6,6 +6,7 @@ import pytest
 
 from uflst import cluster, data, episodes, losses, metric, network, pipeline
 from uflst.errors import RoundFailedError
+from test_episodes import reference_sample_episode
 from test_network import params_equal
 
 
@@ -317,6 +318,36 @@ class TestRunTraining:
         assert result.status in ("completed", "aborted")
         assert any(issubclass(w.category, DegenerateGeometryWarning)
                    for w in caught)
+
+
+class TestBatchedSamplingBytes:
+    """Training with `episodes.sample_episodes` writes the same bytes as
+    drawing every episode with `Generator.choice` calls."""
+
+    @staticmethod
+    def looped(members, n_c, n_e, count, rng):
+        return np.stack([reference_sample_episode(members, n_c, n_e, rng)
+                         for _ in range(count)])
+
+    @pytest.mark.parametrize("kind", [losses.PROTOTYPE_KIND,
+                                      losses.HARD_TRIPLET_KIND])
+    def test_run_matches_choice_loop(self, kind, tmp_path, monkeypatch):
+        train, test = small_dataset()
+        cfg = small_config(rounds=2)
+        if kind == losses.PROTOTYPE_KIND:
+            cfg.loss.kind = kind
+            cfg.episode = episodes.EpisodeConfig(
+                n_c_train=4, n_c_test=3, n_e=4, n_s=1, n_q=3,
+                mode=episodes.PROTOTYPE)
+            cfg.validate()
+        batched, looped = tmp_path / "batched", tmp_path / "looped"
+        pipeline.run_training(cfg, train, eval_dataset=test,
+                              run_dir=str(batched))
+        monkeypatch.setattr(episodes, "sample_episodes", self.looped)
+        pipeline.run_training(cfg, train, eval_dataset=test,
+                              run_dir=str(looped))
+        for name in ("metrics.csv", "final_model.ckpt"):
+            assert (batched / name).read_bytes() == (looped / name).read_bytes()
 
 
 class TestCheckpointState:
