@@ -41,26 +41,30 @@ class Dataset:
         )
 
 
+# Fixed geometry of the generators.  blobs: the within-class spread.
+WITHIN_STD = 1.0
+# rays: classes are directions from the origin with log-uniform radii
+CONE = 0.1                    # direction spread of the widely spaced rays
+TIGHT_CONE = 0.025            # spread of the bundle of tight rays
+HELDOUT_OFFSET = 0.005        # angular nudge off each host direction
+RADIUS_MIN = 5.0
+RADIUS_RATIO = 8.0            # radii drawn log-uniformly over one octave^3
+RADIAL_NOISE = 0.005          # transverse noise, proportional to radius
+HELDOUT_RADIAL_NOISE = 0.01
+DIRECTION_CANDIDATES = 2000   # pool each greedy direction pick reads
+
+
 @dataclass
 class SyntheticSpec:
+    """The settable part of a synthetic data set; the rest of its geometry
+    is the module constants above."""
     kind: str = "blobs"           # "blobs" | "rays"
     num_classes: int = 20
     points_per_class: int = 50
     dim: int = 32
     heldout_classes: int = 5      # rays: also the number of tight rays
     seed: int = 0
-    # blobs: isotropic Gaussians with centers on a sphere
-    separation: float = 6.0       # radius of the sphere the class centers sit on
-    within_std: float = 1.0
-    # rays: classes are directions from the origin with log-uniform radii
-    cone: float = 0.1             # direction spread of the widely spaced rays
-    tight_cone: float = 0.025
-    heldout_offset: float = 0.005  # angular nudge off each host direction
-    radius_min: float = 5.0
-    radius_ratio: float = 8.0     # radii drawn log-uniformly over one octave^3
-    radial_noise: float = 0.005   # transverse noise, proportional to radius
-    heldout_radial_noise: float = 0.01
-    direction_candidates: int = 2000
+    separation: float = 6.0       # blobs: radius of the sphere of centers
 
     def validate(self):
         if self.kind not in ("blobs", "rays"):
@@ -72,24 +76,16 @@ class SyntheticSpec:
         if self.kind == "blobs":
             if self.heldout_classes < 0:
                 raise ConfigError("heldout_classes must be nonnegative")
-            if not all(0 <= x < math.inf for x in (
-                    self.separation, self.within_std)):
-                raise ConfigError("scales must be nonnegative and finite")
+            if not 0 <= self.separation < math.inf:
+                raise ConfigError("separation must be nonnegative and finite")
             return
         if not (0 < self.heldout_classes <= self.num_classes):
             raise ConfigError("rays pin one heldout class to each tight ray: "
                               "heldout_classes must lie in (0, num_classes]")
-        if not (0 < self.radius_min < math.inf
-                and 1 <= self.radius_ratio < math.inf):
-            raise ConfigError("radius_min must be positive, radius_ratio >= 1, "
-                              "both finite")
-        if not all(0 <= x < math.inf for x in (
-                self.cone, self.tight_cone, self.heldout_offset,
-                self.radial_noise, self.heldout_radial_noise)):
-            raise ConfigError("angular and noise scales must be nonnegative "
-                              "and finite")
-        if self.direction_candidates < self.num_classes:
-            raise ConfigError("direction_candidates must cover num_classes")
+        if self.num_classes > DIRECTION_CANDIDATES:
+            # a greedy pick past the end of the pool repeats candidate 0
+            raise ConfigError(f"rays need num_classes <= "
+                              f"{DIRECTION_CANDIDATES}, got {self.num_classes}")
 
 
 def generate_synthetic(spec):
@@ -123,7 +119,7 @@ def _generate_blobs(spec):
 
     def build(class_rows):
         return _stack_classes([
-            centers[c] + spec.within_std * rng.normal(
+            centers[c] + WITHIN_STD * rng.normal(
                 size=(spec.points_per_class, spec.dim))
             for c in class_rows], spec)
 
@@ -132,7 +128,7 @@ def _generate_blobs(spec):
     return train, test
 
 
-def _spread_directions(rng, n, dim, center, cone, candidates):
+def _spread_directions(rng, n, dim, center, cone):
     """Pick n well-separated unit directions from a Gaussian cone.
 
     Draws a candidate pool around `center`, normalizes, then greedily
@@ -141,7 +137,7 @@ def _spread_directions(rng, n, dim, center, cone, candidates):
     minimum pairwise angle from collapsing the way independent draws do.
     With n = 0 the pool is still drawn, and none of it is returned.
     """
-    pool = center + cone * rng.normal(size=(candidates, dim))
+    pool = center + cone * rng.normal(size=(DIRECTION_CANDIDATES, dim))
     pool /= np.linalg.norm(pool, axis=1, keepdims=True)
     chosen = [0]
     for _ in range(n - 1):
@@ -155,7 +151,7 @@ def _generate_rays(spec):
     """Classes are rays from the origin; identity is angular, not radial.
 
     Every point is r * direction + noise, with r log-uniform over
-    [radius_min, radius_min * radius_ratio] and transverse noise
+    [RADIUS_MIN, RADIUS_MIN * RADIUS_RATIO] and transverse noise
     proportional to r, so raw Euclidean distance is dominated by the
     shared radial spread while class membership lives entirely in the
     direction.  Most train rays are spread widely around a fixed axis;
@@ -169,17 +165,13 @@ def _generate_rays(spec):
     axis = np.zeros(spec.dim)
     axis[0] = 1.0
     spread = _spread_directions(
-        rng, spec.num_classes - spec.heldout_classes, spec.dim, axis,
-        spec.cone, spec.direction_candidates,
-    )
+        rng, spec.num_classes - spec.heldout_classes, spec.dim, axis, CONE)
     center = rng.normal(size=spec.dim)
     center /= np.linalg.norm(center)
     tight = _spread_directions(
-        rng, spec.heldout_classes, spec.dim, center,
-        spec.tight_cone, spec.direction_candidates,
-    )
+        rng, spec.heldout_classes, spec.dim, center, TIGHT_CONE)
     train_dirs = np.concatenate([spread, tight])
-    heldout_dirs = tight + spec.heldout_offset * rng.normal(
+    heldout_dirs = tight + HELDOUT_OFFSET * rng.normal(
         size=(spec.heldout_classes, spec.dim)
     )
     heldout_dirs /= np.linalg.norm(heldout_dirs, axis=1, keepdims=True)
@@ -188,13 +180,13 @@ def _generate_rays(spec):
         blocks = []
         for direction in dirs:
             u = rng.uniform(0.0, 1.0, size=(spec.points_per_class, 1))
-            r = spec.radius_min * spec.radius_ratio ** u
+            r = RADIUS_MIN * RADIUS_RATIO ** u
             blocks.append(r * direction + noise * r * rng.normal(
                 size=(spec.points_per_class, spec.dim)))
         return _stack_classes(blocks, spec)
 
-    train = build(train_dirs, spec.radial_noise)
-    test = build(heldout_dirs, spec.heldout_radial_noise)
+    train = build(train_dirs, RADIAL_NOISE)
+    test = build(heldout_dirs, HELDOUT_RADIAL_NOISE)
     return train, test
 
 

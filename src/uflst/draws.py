@@ -17,6 +17,10 @@ reports that such a draw happened, and its caller rewinds and makes the
 real calls.  The emulation rests on numpy internals that a release may
 change, so `exact()` checks it against `Generator.choice` on first use
 and turns false, with one warning, when they disagree.
+
+Scalar choices with replacement need no emulation: `integers(0, highs)`
+over an array of bounds makes the same draws, one per bound in order,
+numpy's redraws included; `exact()` checks that too.
 """
 
 from __future__ import annotations
@@ -150,14 +154,16 @@ def exact():
 
 
 def _probe():
-    """A scalar choice, a row of choices (two of them full) and scalar
-    draws with replacement, against the `Generator.choice` calls: the same
-    picks and the same generator state after them."""
+    """A scalar choice, a row of choices (two of them full) and one
+    array-bound `integers` call, against the `Generator.choice` calls
+    (scalar ones with replacement for the last): the same picks and the
+    same generator state after them."""
     pops, size = np.array([3, 4, 9, 60, 3, 5000]), 3
+    highs = np.array([[3, 1], [60, 5000]])
     ref = np.random.default_rng(PROBE_SEED)
     want = [ref.choice(12, size=5, replace=False).tolist(),
             *(ref.choice(p, size=size, replace=False).tolist() for p in pops),
-            *(int(ref.choice(p)) for p in pops)]
+            *(int(ref.choice(h)) for h in highs.ravel())]
 
     rng = np.random.default_rng(PROBE_SEED)
     ahead = Lookahead(rng, 200)
@@ -165,9 +171,7 @@ def _probe():
     outputs = choice_outputs(pops, size)
     end = 9 + np.cumsum(outputs)
     rows, redraw = choice_rows(ahead.u, end - outputs, pops, size)
-    singles, single_redraw = bounded(ahead.u[end[-1]:end[-1] + pops.size],
-                                     pops - 1)
-    ahead.commit(int(end[-1]) + pops.size)
-    got = [first, *rows.tolist(), *singles.tolist()]
-    return (not (redraw or single_redraw) and got == want
+    ahead.commit(int(end[-1]))
+    got = [first, *rows.tolist(), *rng.integers(0, highs).ravel().tolist()]
+    return (not redraw and got == want
             and rng.bit_generator.state == ref.bit_generator.state)

@@ -153,37 +153,22 @@ def random_triplets(labels, rng):
 
     Anchors go in index order; each draws its positive, then its negative,
     as `rng.choice` of the candidate indices in ascending order (a single
-    candidate takes no draw).  All picks come from one `draws.Lookahead`
-    block, with the same triplets and generator state as those calls.
+    candidate takes no draw).  One `rng.integers(0, counts)` call over the
+    (anchors, 2) candidate counts makes the same draws, redraws included,
+    so the triplets and the generator state match those calls.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if np.unique(labels).size < 2:
         raise ContractViolationError("triplets need at least 2 classes")
-    picked = _draw_triplets(labels, rng) if draws.exact() else None
-    return picked if picked is not None else _choice_triplets(labels, rng)
-
-
-def _draw_triplets(labels, rng):
-    """`random_triplets` from one lookahead block, or None with `rng`
-    untouched when numpy would have drawn again."""
-    n = labels.size
+    if not draws.exact():
+        return _choice_triplets(labels, rng)
     other = labels[:, None] != labels[None, :]
     same = ~other
     np.fill_diagonal(same, False)
     anchors = np.flatnonzero(same.any(axis=1))
     same, other = same[anchors], other[anchors]
-    # positive then negative candidate counts, anchor by anchor; a pick
-    # from one candidate takes no draw and reads an output it ignores
-    counts = np.stack([same.sum(axis=1), other.sum(axis=1)], axis=1).ravel()
-    takes = counts > 1
-    ahead = draws.Lookahead(rng, 2 * n)
-    ranks, redraw = draws.bounded(ahead.u[np.cumsum(takes) - takes],
-                                  counts - 1)
-    if redraw:
-        ahead.rewind()
-        return None
-    ahead.commit(int(takes.sum()))
-    ranks = ranks.reshape(-1, 2)
+    ranks = rng.integers(0, np.stack([same.sum(axis=1), other.sum(axis=1)],
+                                     axis=1))
     # the k-th candidate of a row is the number of columns before its
     # (k + 1)-th True
     positives = np.sum(np.cumsum(same, axis=1) <= ranks[:, :1], axis=1)

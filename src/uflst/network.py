@@ -148,7 +148,7 @@ def forward(params, batch):
 def backward(params, cache, output_grad):
     """Backpropagate d(loss)/d(embeddings) into parameter gradients.
 
-    Returns (grad, input_grad) where grad has the layout of `params.flat`.
+    Returns the gradient in the layout of `params.flat`.
     """
     output_grad = np.asarray(output_grad, dtype=np.float64)
     expected = (cache["batch_shape"][0], params.weights[-1].shape[0])
@@ -162,10 +162,9 @@ def backward(params, cache, output_grad):
     for l in range(len(dWs) - 1, -1, -1):
         dWs[l][...] = delta.T @ cache["inputs"][l]
         dbs[l][...] = delta.sum(axis=0)
-        delta = delta @ params.weights[l]
         if l > 0:
-            delta = delta * (cache["pre_acts"][l - 1] > 0)
-    return grad, delta
+            delta = (delta @ params.weights[l]) * (cache["pre_acts"][l - 1] > 0)
+    return grad
 
 
 def adam_step(params, grad, config, epoch):
@@ -210,7 +209,7 @@ def gradient_check(loss_fn, params, batch):
         _, demb = loss_fn(emb)
     except UflstError as exc:
         raise InfeasibleCheckError(f"loss undefined on this batch: {exc}") from exc
-    grad, _ = backward(params, cache, demb)
+    grad = backward(params, cache, demb)
     work = params.copy()
     flat = work.flat
 

@@ -169,7 +169,7 @@ def run_episodic_phase(params, features, pl, config, rng):
         emb, cache = network.forward(params, features[block.ravel()])
         loss, demb = losses.episode_loss(emb, labels, support_mask,
                                          config.loss, rng=rng)
-        grad, _ = network.backward(params, cache, demb)
+        grad = network.backward(params, cache, demb)
         network.adam_step(params, grad, config.optimizer, epoch)
         loss_sum += loss
     return params, loss_sum / total, way, total

@@ -204,7 +204,13 @@ REMOVED_KEYS = ("dbscan.per_point_minimum=true", "reset_adam_each_round=true",
                 "optimizer.beta2=0.999", "optimizer.epsilon_adam=1e-8",
                 "optimizer.decay_factor=0.1", "optimizer.decay_after_epoch=25",
                 "loss.margin=0.5", "synthetic.noise_dims=0",
-                "synthetic.noise_std=0.0", "synthetic.tight_classes=5")
+                "synthetic.noise_std=0.0", "synthetic.tight_classes=5",
+                "synthetic.cone=0.1", "synthetic.tight_cone=0.025",
+                "synthetic.heldout_offset=0.005", "synthetic.radius_min=5.0",
+                "synthetic.radius_ratio=8.0", "synthetic.radial_noise=0.005",
+                "synthetic.heldout_radial_noise=0.01",
+                "synthetic.direction_candidates=2000",
+                "synthetic.within_std=1.0")
 
 
 class TestConfigErrors:
@@ -217,6 +223,7 @@ class TestConfigErrors:
         ("synth", "synthetic.separation=.inf"),
         ("synth", "synthetic.heldout_classes=-1"),
         ("synth", "synthetic.seed=-1"),
+        ("synth", "synthetic.kind=rays synthetic.num_classes=2001"),
         ("synth", None),   # malformed --config file
         *(("synth" if key.startswith("synthetic.") else "train", key)
           for key in REMOVED_KEYS),
@@ -230,7 +237,7 @@ class TestConfigErrors:
             bad.write_text("rounds: [3\n")
             args += ["--config", str(bad)]
         else:
-            args.append(override)
+            args += override.split()
         line = assert_one_error_line(cli_process(command, *args))
         if override in REMOVED_KEYS:
             assert line.startswith("uflst: error: unknown config key")

@@ -104,10 +104,10 @@ class TestLoadConfig:
         path.write_text("optimizer:\n  learning_rate: 1\n")
         cfg = config_mod.load_config(
             str(path),
-            overrides=["dbscan.p_fraction=1", "synthetic.within_std=0.5"])
+            overrides=["dbscan.p_fraction=1", "synthetic.separation=6"])
         assert cfg["dbscan"]["p_fraction"] == 1
         assert cfg["optimizer"]["learning_rate"] == 1
-        assert cfg["synthetic"]["within_std"] == 0.5
+        assert cfg["synthetic"]["separation"] == 6
 
     def test_exponent_notation_is_a_float(self, tmp_path):
         path = tmp_path / "c.yaml"
@@ -149,11 +149,7 @@ def test_settable_keys():
         "episode.n_c_test", "episode.n_c_train", "episode.n_e", "episode.n_q",
         "episode.n_s", "epochs_per_round", "eval_episodes", "hidden_dims",
         "knn_k", "loss.kind", "optimizer.learning_rate", "rounds", "seed",
-        "synthetic.cone", "synthetic.dim", "synthetic.direction_candidates",
-        "synthetic.heldout_classes", "synthetic.heldout_offset",
-        "synthetic.heldout_radial_noise", "synthetic.kind",
+        "synthetic.dim", "synthetic.heldout_classes", "synthetic.kind",
         "synthetic.num_classes", "synthetic.points_per_class",
-        "synthetic.radial_noise", "synthetic.radius_min",
-        "synthetic.radius_ratio", "synthetic.seed", "synthetic.separation",
-        "synthetic.tight_cone", "synthetic.within_std",
+        "synthetic.seed", "synthetic.separation",
     ]

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from uflst import cluster, data, evaluate
+from uflst import cluster, config, data, evaluate
 from uflst.errors import ConfigError, DatasetParseError, InputError
 
 
@@ -26,8 +26,7 @@ class TestSynthetic:
 
     def test_centers_on_sphere(self):
         spec = data.SyntheticSpec(num_classes=6, points_per_class=200, dim=8,
-                                  separation=50.0, within_std=1.0,
-                                  heldout_classes=0, seed=1)
+                                  separation=50.0, heldout_classes=0, seed=1)
         train, _ = data.generate_synthetic(spec)
         for c in range(6):
             center = train.features[train.labels == c].mean(axis=0)
@@ -40,7 +39,7 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             data.SyntheticSpec(heldout_classes=-1).validate()
         with pytest.raises(ValueError):
-            data.SyntheticSpec(within_std=-1.0).validate()
+            data.SyntheticSpec(separation=-1.0).validate()
 
     @pytest.mark.parametrize("kind, field", [
         ("blobs", "separation"), ("blobs", "within_std"), ("rays", "radius_min"),
@@ -50,9 +49,12 @@ class TestSynthetic:
     ])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_nonfinite_scale_rejected(self, kind, field, value):
-        spec = data.SyntheticSpec(kind=kind, **{field: value})
+        # through the config, as a run sets it (YAML spells .nan and .inf):
+        # separation fails its range check, and the fixed geometry values
+        # are no keys at all
+        overrides = [f"synthetic.kind={kind}", f"synthetic.{field}=.{value}"]
         with pytest.raises(ConfigError):
-            spec.validate()
+            config.build_synthetic_spec(config.load_config(overrides=overrides))
 
     def test_subset(self):
         spec = data.SyntheticSpec(num_classes=2, points_per_class=5, dim=3)
@@ -82,26 +84,29 @@ class TestRaySynthetic:
         assert np.array_equal(a_train.features, b_train.features)
         assert np.array_equal(a_test.features, b_test.features)
 
-    def test_radii_within_declared_range(self):
-        spec = self.make_spec(radial_noise=0.0, heldout_radial_noise=0.0)
-        train, test = data.generate_synthetic(spec)
+    @pytest.fixture
+    def noiseless(self, monkeypatch):
+        monkeypatch.setattr(data, "RADIAL_NOISE", 0.0)
+        monkeypatch.setattr(data, "HELDOUT_RADIAL_NOISE", 0.0)
+        return self.make_spec()
+
+    def test_radii_within_declared_range(self, noiseless):
+        train, test = data.generate_synthetic(noiseless)
         for ds in (train, test):
             r = np.linalg.norm(ds.features, axis=1)
-            assert np.all(r >= spec.radius_min)
-            assert np.all(r <= spec.radius_min * spec.radius_ratio)
+            assert np.all(r >= data.RADIUS_MIN)
+            assert np.all(r <= data.RADIUS_MIN * data.RADIUS_RATIO)
 
-    def test_class_directions_are_unit_rays(self):
-        spec = self.make_spec(radial_noise=0.0, heldout_radial_noise=0.0)
-        train, _ = data.generate_synthetic(spec)
+    def test_class_directions_are_unit_rays(self, noiseless):
+        train, _ = data.generate_synthetic(noiseless)
         for c in range(20):
             pts = train.features[train.labels == c]
             dirs = pts / np.linalg.norm(pts, axis=1, keepdims=True)
             # all points of a noiseless class lie on a single ray
             assert np.max(np.abs(dirs - dirs[0])) < 1e-12
 
-    def test_heldout_directions_hug_tight_rays(self):
-        spec = self.make_spec(radial_noise=0.0, heldout_radial_noise=0.0)
-        train, test = data.generate_synthetic(spec)
+    def test_heldout_directions_hug_tight_rays(self, noiseless):
+        train, test = data.generate_synthetic(noiseless)
 
         def class_dirs(ds, k):
             out = []
@@ -121,9 +126,8 @@ class TestRaySynthetic:
         # but never coincides with its host exactly
         assert np.all(angles > 1e-4)
 
-    def test_spread_rays_are_separated(self):
-        spec = self.make_spec(radial_noise=0.0, heldout_radial_noise=0.0)
-        train, _ = data.generate_synthetic(spec)
+    def test_spread_rays_are_separated(self, noiseless):
+        train, _ = data.generate_synthetic(noiseless)
         dirs = []
         for c in range(20):
             p = train.features[train.labels == c][0]
@@ -139,7 +143,7 @@ class TestRaySynthetic:
     def test_every_class_tight(self):
         # no widely spread rays: the train set still has num_classes classes
         train, test = data.generate_synthetic(self.make_spec(
-            num_classes=5, heldout_classes=5, direction_candidates=50))
+            num_classes=5, heldout_classes=5))
         assert np.array_equal(np.unique(train.labels), np.arange(5))
         assert train.features.shape == (250, 32)
         assert np.array_equal(np.unique(test.labels), np.arange(5))
@@ -150,11 +154,9 @@ class TestRaySynthetic:
         with pytest.raises(ValueError):
             self.make_spec(heldout_classes=21).validate()
         with pytest.raises(ValueError):
-            self.make_spec(radius_ratio=0.5).validate()
-        with pytest.raises(ValueError):
             self.make_spec(heldout_classes=0).validate()
-        with pytest.raises(ValueError):
-            self.make_spec(direction_candidates=10).validate()
+        with pytest.raises(ValueError, match="num_classes <= 2000"):
+            self.make_spec(num_classes=2001).validate()
 
 
 class TestRaw64:

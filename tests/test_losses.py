@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uflst import episodes, losses
+from uflst import draws, episodes, losses
 from uflst.errors import ContractViolationError
 
 
@@ -363,7 +363,7 @@ class TestRandomTriplets:
                 rng.integers(0, 2**32, dtype=np.uint32)
         assert_same_triplets(np.array(labels), batch_rng, loop_rng)
 
-    def test_redraw_falls_back(self):
+    def test_redraw_matches_choice_loop(self):
         # the first pick spans 3 values, so a next output of 0 is redrawn
         def redraw_rng():
             rng = np.random.default_rng(0)
@@ -372,9 +372,14 @@ class TestRandomTriplets:
             rng.bit_generator.state = state
             return rng
 
-        labels = np.array([0, 0, 0, 0, 1, 1])
-        assert losses._draw_triplets(labels, redraw_rng()) is None
-        assert_same_triplets(labels, redraw_rng(), redraw_rng())
+        assert_same_triplets(np.array([0, 0, 0, 0, 1, 1]), redraw_rng(),
+                             redraw_rng())
+
+    def test_failed_probe_loops(self, monkeypatch):
+        monkeypatch.setattr(draws, "exact", lambda: False)
+        labels = np.repeat(np.arange(4), 3)
+        assert_same_triplets(labels, np.random.default_rng(3),
+                             np.random.default_rng(3))
 
     def test_validity(self):
         rng = np.random.default_rng(5)

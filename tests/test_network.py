@@ -145,7 +145,7 @@ class TestBackward:
         p = network.init_params([4, 6, 2], seed=1)
         x = np.random.default_rng(1).normal(size=(5, 4))
         _, cache = network.forward(p, x)
-        grad, _ = network.backward(p, cache, np.zeros((5, 2)))
+        grad = network.backward(p, cache, np.zeros((5, 2)))
         assert grad.shape == p.flat.shape and np.all(grad == 0.0)
 
     def test_linear_layer_sum_loss(self):
@@ -153,7 +153,7 @@ class TestBackward:
         p = network.init_params([4, 3], seed=2)
         x = np.random.default_rng(2).normal(size=(6, 4))
         _, cache = network.forward(p, x)
-        grad, _ = network.backward(p, cache, np.ones((6, 3)))
+        grad = network.backward(p, cache, np.ones((6, 3)))
         (dW,), (db,) = p.views(grad)
         assert np.allclose(dW, np.tile(x.sum(axis=0), (3, 1)))
         assert np.allclose(db, 6.0)
@@ -178,7 +178,7 @@ class TestBackward:
 
         emb, cache = network.forward(p, x)
         _, demb = losses.prototype_loss(emb, labels, support)
-        analytic, _ = network.backward(p, cache, demb)
+        analytic = network.backward(p, cache, demb)
 
         step = 1e-4
         numeric = []
@@ -261,7 +261,7 @@ class TestAdam:
         for _ in range(50):
             x = rng.normal(size=(6, 5))
             emb, cache = network.forward(p, x)
-            grad, _ = network.backward(p, cache, 2 * emb)
+            grad = network.backward(p, cache, 2 * emb)
             network.adam_step(p, grad, cfg, epoch=1)
         assert np.all(np.isfinite(p.flat))
 
@@ -273,7 +273,7 @@ class TestAdam:
             for _ in range(20):
                 x = rng.normal(size=(5, 4))
                 emb, cache = network.forward(p, x)
-                grad, _ = network.backward(p, cache, emb)
+                grad = network.backward(p, cache, emb)
                 network.adam_step(p, grad, cfg, epoch=1)
             return p
 
@@ -387,7 +387,7 @@ class TestCheckpoint:
         # give the optimizer state some content
         x = np.random.default_rng(30).normal(size=(5, 4))
         emb, cache = network.forward(p, x)
-        grad, _ = network.backward(p, cache, emb)
+        grad = network.backward(p, cache, emb)
         network.adam_step(p, grad, network.OptimizerConfig(), epoch=1)
         path = tmp_path / "model.ckpt"
         with open(path, "wb") as f:

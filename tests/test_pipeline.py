@@ -12,8 +12,8 @@ from test_network import params_equal
 
 def small_dataset(seed=0, num_classes=6, points=12, dim=8):
     spec = data.SyntheticSpec(num_classes=num_classes, points_per_class=points,
-                              dim=dim, separation=10.0, within_std=1.0,
-                              heldout_classes=5, seed=seed)
+                              dim=dim, separation=10.0, heldout_classes=5,
+                              seed=seed)
     return data.generate_synthetic(spec)
 
 
@@ -375,7 +375,7 @@ class TestCheckpointState:
         p = network.init_params([5, 8, 8, 3], seed=4)
         x = np.random.default_rng(4).normal(size=(7, 5))
         emb, cache = network.forward(p, x)
-        grads, _ = network.backward(p, cache, emb)
+        grads = network.backward(p, cache, emb)
         network.adam_step(p, grads, network.OptimizerConfig(), epoch=1)
         path = tmp_path / "state.ckpt"
         pipeline.save_checkpoint(
