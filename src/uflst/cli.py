@@ -301,6 +301,10 @@ def main(argv=None):
     except (UflstError, OSError) as exc:
         print(f"uflst: error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"uflst: error: out of memory{detail}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -18,9 +18,9 @@ real calls.  The emulation rests on numpy internals that a release may
 change, so `exact()` checks it against `Generator.choice` on first use
 and turns false, with one warning, when they disagree.
 
-Scalar choices with replacement need no emulation: `integers(0, highs)`
-over an array of bounds makes the same draws, one per bound in order,
-numpy's redraws included; `exact()` checks that too.
+`integers(0, highs)` takes one such draw per bound in order (none for a
+bound of 1), the same as one scalar `choice(high)` per bound; `exact()`
+checks both.
 """
 
 from __future__ import annotations
@@ -154,15 +154,16 @@ def exact():
 
 
 def _probe():
-    """A scalar choice, a row of choices (two of them full) and one
-    array-bound `integers` call, against the `Generator.choice` calls
-    (scalar ones with replacement for the last): the same picks and the
-    same generator state after them."""
+    """A scalar choice, a row of choices (two of them full), emulated
+    `integers(0, highs)` draws (a bound of 1 reads no output of its own)
+    and a real `integers` call, against real `choice`, `integers` and
+    scalar `choice(high)` calls: the same picks and the final state."""
     pops, size = np.array([3, 4, 9, 60, 3, 5000]), 3
     highs = np.array([[3, 1], [60, 5000]])
     ref = np.random.default_rng(PROBE_SEED)
     want = [ref.choice(12, size=5, replace=False).tolist(),
             *(ref.choice(p, size=size, replace=False).tolist() for p in pops),
+            *ref.integers(0, highs).ravel().tolist(),
             *(int(ref.choice(h)) for h in highs.ravel())]
 
     rng = np.random.default_rng(PROBE_SEED)
@@ -171,7 +172,9 @@ def _probe():
     outputs = choice_outputs(pops, size)
     end = 9 + np.cumsum(outputs)
     rows, redraw = choice_rows(ahead.u, end - outputs, pops, size)
-    ahead.commit(int(end[-1]))
-    got = [first, *rows.tolist(), *rng.integers(0, highs).ravel().tolist()]
-    return (not redraw and got == want
+    ints, int_redraw = bounded(ahead.u[end[-1] + [[0, 1], [1, 2]]], highs - 1)
+    ahead.commit(int(end[-1]) + 3)
+    got = [first, *rows.tolist(), *ints.ravel().tolist(),
+           *rng.integers(0, highs).ravel().tolist()]
+    return (not redraw and not int_redraw and got == want
             and rng.bit_generator.state == ref.bit_generator.state)

@@ -6,11 +6,12 @@ first n_s columns are the support and the other n_q the query.  Training
 and evaluation embed the flattened block and read its rows through
 `episode_layout`.
 
-An episode is 1 + n_c `Generator.choice(..., replace=False)` calls: the
-classes, then the members of each chosen class.  `sample_episodes` draws
-many episodes at once through `draws`, with the same blocks and the same
-generator state as making those calls one episode after another; it
-makes the calls themselves for a chunk where the batch cannot be exact.
+An episode is 1 + n_c `Generator.choice(..., replace=False)` calls (the
+classes, then the members of each), plus one `Generator.integers(0,
+bounds)` call for random triplets.  `sample_episodes` draws many episodes
+at once through `draws`, with the same numbers and the same generator
+state as making those calls one episode after another; it makes the
+calls themselves for a chunk where the batch cannot be exact.
 """
 
 from __future__ import annotations
@@ -67,49 +68,53 @@ def sample_episode(members, n_c, n_e, rng):
     from `members` (one index array per class), then n_e distinct members
     of each.  Row c holds class c; in prototype mode its first n_s columns
     are the support and the rest the query."""
-    return sample_episodes(members, n_c, n_e, 1, rng)[0]
+    return sample_episodes(members, n_c, n_e, 1, rng)[0][0]
 
 
-def sample_episodes(members, n_c, n_e, count, rng):
-    """A (count, n_c, n_e) array of `count` episode blocks, equal to
-    `count` `sample_episode` calls in a row and leaving `rng` in the same
-    state."""
+def sample_episodes(members, n_c, n_e, count, rng, bounds=()):
+    """`count` (n_c, n_e) episode blocks and, after each, the draws of
+    `rng.integers(0, bounds)`: the same numbers and final `rng` state as
+    that many `sample_episode` and `integers` calls in turn."""
     if len(members) < n_c:
         raise EpisodeInfeasibleError(
             f"{len(members)} eligible classes < way {n_c}"
         )
+    bounds = np.asarray(bounds, dtype=np.int64)
     sizes = np.array([len(m) for m in members], dtype=np.int64)
     batched = (draws.exact() and sizes.min() >= n_e
                and draws.floyd_fits(len(members), n_c)
                and draws.floyd_fits(sizes, n_e))
     flat = np.concatenate(members) if batched else None
-    blocks = []
+    chunks = []
     for done in range(0, count, CHUNK):
         todo = min(CHUNK, count - done)
-        block = (_draw_chunk(sizes, flat, n_c, n_e, todo, rng)
+        chunk = (_draw_chunk(sizes, flat, n_c, n_e, todo, rng, bounds)
                  if batched else None)
-        if block is None:
-            block = np.stack([_choice_episode(members, n_c, n_e, rng)
-                              for _ in range(todo)])
-        blocks.append(block)
-    return np.concatenate(blocks)
+        if chunk is None:
+            drawn = [_choice_episode(members, n_c, n_e, rng, bounds)
+                     for _ in range(todo)]
+            chunk = [np.array(part) for part in zip(*drawn)]
+        chunks.append(chunk)
+    return tuple(np.concatenate(part) for part in zip(*chunks))
 
 
-def _choice_episode(members, n_c, n_e, rng):
+def _choice_episode(members, n_c, n_e, rng, bounds):
     chosen = rng.choice(len(members), size=n_c, replace=False)
-    return np.stack([rng.choice(members[c], size=n_e, replace=False)
-                     for c in chosen])
+    return ([rng.choice(members[c], size=n_e, replace=False) for c in chosen],
+            rng.integers(0, bounds))
 
 
-def _draw_chunk(sizes, flat, n_c, n_e, count, rng):
-    """`count` episodes from one lookahead block of outputs, for classes of
-    `sizes` members laid end to end in `flat`: each episode's classes in
-    scalar Python (the next episode starts where this one's member draws
-    end), then every (episode, class) row's members at once.  Returns
-    None, with `rng` untouched, when numpy would have drawn again."""
+def _draw_chunk(sizes, flat, n_c, n_e, count, rng, bounds):
+    """`count` episodes and their `integers(0, bounds)` draws from one
+    lookahead block of outputs, for classes of `sizes` members laid end to
+    end in `flat`: each episode's classes in scalar Python (the next one
+    starts where this one's draws end), then all member rows and
+    `integers` draws at once.  Returns None, with `rng` untouched, when
+    numpy would have drawn again."""
     class_outputs = int(draws.choice_outputs(sizes.size, n_c))
-    row_outputs = 2 * n_e - 1
-    ahead = draws.Lookahead(rng, count * (class_outputs + n_c * row_outputs))
+    taken = (bounds > 1).ravel()   # a bound of 1 takes no output
+    outputs = class_outputs + n_c * (2 * n_e - 1) + int(taken.sum())
+    ahead = draws.Lookahead(rng, count * outputs)
     full = (sizes == n_e).tolist()
     chosen = np.empty((count, n_c), dtype=np.int64)
     first_row = np.empty(count, dtype=np.int64)
@@ -121,19 +126,23 @@ def _draw_chunk(sizes, flat, n_c, n_e, count, rng):
             ahead.rewind()
             return None
         chosen[e] = classes
-        at += class_outputs
-        first_row[e] = at
-        at += n_c * row_outputs - sum(full[c] for c in classes)
+        first_row[e] = at + class_outputs
+        at += outputs - sum(full[c] for c in classes)
     pop = sizes[chosen]
     used = draws.choice_outputs(pop, n_e)
     start = first_row[:, None] + np.cumsum(used, axis=1) - used
     picks, redraw = draws.choice_rows(ahead.u, start.ravel(), pop.ravel(), n_e)
-    if redraw:
+    # an episode's `integers` draws follow its last row's; a bound of 1
+    # reads an output before its draw and ignores it
+    at_rank = start[:, -1:] + used[:, -1:] + np.cumsum(taken) - 1
+    ranks, rank_redraw = draws.bounded(ahead.u[at_rank], bounds.ravel() - 1)
+    if redraw or rank_redraw:
         ahead.rewind()
         return None
     ahead.commit(at)
     offsets = (np.cumsum(sizes) - sizes)[chosen].reshape(-1, 1)
-    return flat[offsets + picks].reshape(count, n_c, n_e)
+    return (flat[offsets + picks].reshape(count, n_c, n_e),
+            ranks.reshape(count, *bounds.shape))
 
 
 def episode_layout(n_c, n_e, n_s):

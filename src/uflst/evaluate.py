@@ -94,7 +94,8 @@ def few_shot_accuracy(params, features, labels, protocol, n_episodes, rng):
     way, per_class = protocol.n_c_test, protocol.n_s + protocol.n_q
     classes, support = episodes.episode_layout(way, per_class, protocol.n_s)
     query = ~support
-    blocks = episodes.sample_episodes(members, way, per_class, n_episodes, rng)
+    blocks, _ = episodes.sample_episodes(members, way, per_class, n_episodes,
+                                         rng)
     accs = np.empty(n_episodes)
     for e, block in enumerate(blocks):
         emb, _ = network.forward(params, features[block.ravel()])

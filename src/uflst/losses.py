@@ -1,7 +1,8 @@
 """Training objectives over episode embeddings.
 
 All losses return (scalar, d_loss/d_embeddings) so the encoder backward
-pass can chain them; distances are raw squared Euclidean throughout.
+pass can chain them; distances are raw squared Euclidean throughout.  No
+loss draws: random triplets read ranks drawn by `episodes.sample_episodes`.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import draws, metric
+from . import metric
 from .errors import ConfigError, ContractViolationError, InputError
 
 PROTOTYPE_KIND = "prototype"
@@ -18,6 +19,7 @@ TRIPLET_KIND = "triplet"
 SOFT_MARGIN_KIND = "soft_margin_triplet"
 HARD_TRIPLET_KIND = "hard_triplet"
 LOSS_KINDS = (PROTOTYPE_KIND, TRIPLET_KIND, SOFT_MARGIN_KIND, HARD_TRIPLET_KIND)
+RANDOM_TRIPLET_KINDS = (TRIPLET_KIND, SOFT_MARGIN_KIND)
 TRIPLET_MARGIN = 0.5
 
 
@@ -148,27 +150,33 @@ def mine_hard_triplets(emb, labels):
     )
 
 
-def random_triplets(labels, rng):
-    """One uniformly random (positive, negative) pair per eligible anchor.
+def triplet_counts(labels):
+    """The (positive, negative) candidate counts of each anchor with a
+    same-class partner, anchors in index order: the bounds of the ranks
+    that `random_triplets` reads."""
+    size = np.sum(np.equal.outer(labels, labels), axis=1)
+    size = size[size > 1]
+    return np.stack([size - 1, len(labels) - size], axis=1)
 
-    Anchors go in index order; each draws its positive, then its negative,
-    as `rng.choice` of the candidate indices in ascending order (a single
-    candidate takes no draw).  One `rng.integers(0, counts)` call over the
-    (anchors, 2) candidate counts makes the same draws, redraws included,
-    so the triplets and the generator state match those calls.
+
+def random_triplets(labels, ranks):
+    """One (positive, negative) pair per anchor with a same-class partner.
+
+    Anchors go in index order; `ranks[i]` picks anchor i's positive and
+    negative among its candidate indices in ascending order, each rank
+    below its `triplet_counts` bound.  Uniform ranks from
+    `Generator.integers(0, triplet_counts(labels))` make the same picks as
+    one scalar `Generator.choice` of the candidates per pick, numpy's own
+    redraws included.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if np.unique(labels).size < 2:
         raise ContractViolationError("triplets need at least 2 classes")
-    if not draws.exact():
-        return _choice_triplets(labels, rng)
     other = labels[:, None] != labels[None, :]
     same = ~other
     np.fill_diagonal(same, False)
     anchors = np.flatnonzero(same.any(axis=1))
-    same, other = same[anchors], other[anchors]
-    ranks = rng.integers(0, np.stack([same.sum(axis=1), other.sum(axis=1)],
-                                     axis=1))
+    same, other, ranks = same[anchors], other[anchors], np.asarray(ranks)
     # the k-th candidate of a row is the number of columns before its
     # (k + 1)-th True
     positives = np.sum(np.cumsum(same, axis=1) <= ranks[:, :1], axis=1)
@@ -177,31 +185,13 @@ def random_triplets(labels, rng):
             negatives.astype(np.intp))
 
 
-def _choice_triplets(labels, rng):
-    n = labels.size
-    anchors, positives, negatives = [], [], []
-    for i in range(n):
-        same = np.flatnonzero((labels == labels[i]) & (np.arange(n) != i))
-        if same.size == 0:
-            continue
-        other = np.flatnonzero(labels != labels[i])
-        anchors.append(i)
-        positives.append(int(rng.choice(same)))
-        negatives.append(int(rng.choice(other)))
-    return (
-        np.array(anchors, dtype=np.intp),
-        np.array(positives, dtype=np.intp),
-        np.array(negatives, dtype=np.intp),
-    )
-
-
-def episode_loss(emb, labels, support_mask, cfg, rng=None):
+def episode_loss(emb, labels, support_mask, cfg, ranks=None):
     """Dispatch to the configured loss for one episode batch.
 
     `labels` and `support_mask` are the `episodes.episode_layout` of the
     rows of `emb`; the support mask is read only by the prototype loss.
-    Triplet variants need `rng` for random triplet construction (ignored
-    by hard mining).
+    The random triplet kinds need the episode's `ranks`, drawn with
+    `triplet_counts(labels)` bounds; the others read none.
     """
     if cfg.kind == PROTOTYPE_KIND:
         return prototype_loss(emb, labels, support_mask)
@@ -209,9 +199,9 @@ def episode_loss(emb, labels, support_mask, cfg, rng=None):
     if cfg.kind == HARD_TRIPLET_KIND:
         a, p, n, _ = mine_hard_triplets(emb, labels)
     else:
-        if rng is None:
-            raise ContractViolationError("random triplet construction needs an rng")
-        a, p, n = random_triplets(labels, rng)
+        if ranks is None:
+            raise ContractViolationError("random triplets need drawn ranks")
+        a, p, n = random_triplets(labels, ranks)
     fn = (triplet_soft_margin_loss if cfg.kind == SOFT_MARGIN_KIND
           else triplet_hinge_loss)
     return indexed_triplet_loss(fn, emb, a, p, n)

@@ -127,7 +127,7 @@ def _fallback_ladder(epsilon, ms):
     yield epsilon, ms, None
     for i in range(3):
         grown = min(epsilon * 1.5, 1.0)
-        if grown == epsilon:
+        if grown <= epsilon:
             break
         epsilon = grown
         yield epsilon, ms, f"epsilon_x1.5_#{i + 1}"
@@ -155,20 +155,17 @@ def run_episodic_phase(params, features, pl, config, rng):
     batches_per_epoch = max(1, math.ceil(n_kept / (way * cfg.n_e)))
     total = config.epochs_per_round * batches_per_epoch
     labels, support_mask = episodes.episode_layout(way, cfg.n_e, cfg.n_s)
-    # Hard mining and the prototype loss draw nothing, so the round's
-    # blocks come from `rng` in one batch; random triplets take their
-    # draws between one episode's and the next.
-    blocks = None
-    if config.loss.kind in (losses.HARD_TRIPLET_KIND, losses.PROTOTYPE_KIND):
-        blocks = episodes.sample_episodes(members, way, cfg.n_e, total, rng)
+    # one batch from `rng`: every block and, for random triplets, its ranks
+    bounds = (losses.triplet_counts(labels)
+              if config.loss.kind in losses.RANDOM_TRIPLET_KINDS else ())
+    blocks, ranks = episodes.sample_episodes(members, way, cfg.n_e, total,
+                                             rng, bounds)
     loss_sum = 0.0
-    for s in range(total):
+    for s, (block, episode_ranks) in enumerate(zip(blocks, ranks)):
         epoch = s // batches_per_epoch + 1
-        block = (episodes.sample_episode(members, way, cfg.n_e, rng)
-                 if blocks is None else blocks[s])
         emb, cache = network.forward(params, features[block.ravel()])
         loss, demb = losses.episode_loss(emb, labels, support_mask,
-                                         config.loss, rng=rng)
+                                         config.loss, ranks=episode_ranks)
         grad = network.backward(params, cache, demb)
         network.adam_step(params, grad, config.optimizer, epoch)
         loss_sum += loss

@@ -197,6 +197,21 @@ class TestErrors:
                       "--run-dir", str(tmp_path / "run")])
         assert rc == 1
 
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError(), "uflst: error: out of memory"),
+        (MemoryError("Unable to allocate 74.5 GiB for an array"),
+         "uflst: error: out of memory: Unable to allocate 74.5 GiB for an "
+         "array"),
+    ], ids=["bare", "numpy"])
+    def test_out_of_memory_exits_1(self, tmp_path, monkeypatch, capsys, exc,
+                                   line):
+        def too_big(spec):
+            raise exc
+
+        monkeypatch.setattr(data, "generate_synthetic", too_big)
+        assert run_cli(["synth", "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr() == ("", line + "\n")
+
 
 # Options that no longer exist: an old config setting one must fail loud.
 REMOVED_KEYS = ("dbscan.per_point_minimum=true", "reset_adam_each_round=true",

@@ -1,10 +1,11 @@
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from uflst import cluster, draws, episodes
+from uflst import cluster, draws, episodes, losses
 from uflst.errors import EpisodeInfeasibleError
 
 
@@ -33,9 +34,14 @@ def reference_sample_episode(members, n_c, n_e, rng):
                      for c in chosen])
 
 
-def reference_episodes(members, n_c, n_e, count, rng):
-    return np.stack([reference_sample_episode(members, n_c, n_e, rng)
-                     for _ in range(count)])
+def reference_episodes(members, n_c, n_e, count, rng, bounds=()):
+    """`count` reference episodes, each followed by one
+    `rng.integers(0, bounds)` call: the stacked blocks and draws."""
+    blocks, ranks = [], []
+    for _ in range(count):
+        blocks.append(reference_sample_episode(members, n_c, n_e, rng))
+        ranks.append(rng.integers(0, bounds))
+    return np.stack(blocks), np.stack(ranks)
 
 
 def rng_pair(seed, buffered=False):
@@ -71,7 +77,14 @@ def sampling_cases(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     perm = np.random.default_rng(seed).permutation(sum(sizes))
     members = np.split(perm, np.cumsum(sizes)[:-1])
-    return members, n_c, n_e, count, seed, draw(st.booleans())
+    # the random-triplet bounds of this layout (a positive bound of 1 at
+    # n_e = 2), or any bounds: 2**31 + 1 redraws about half the time
+    labels = episodes.episode_layout(n_c, n_e, 1)[0]
+    bounds = draw(st.one_of(
+        st.just(()), st.just(losses.triplet_counts(labels)),
+        st.lists(st.sampled_from([1, 2, 3, 1000, 2**31 + 1]), max_size=6)))
+    return (members, n_c, n_e, count, seed, draw(st.booleans()), bounds,
+            draw(st.booleans()))
 
 
 class TestConfig:
@@ -172,21 +185,32 @@ class TestSampling:
 
 
 class TestBatchMatchesLoop:
-    """`sample_episodes` against looping `reference_sample_episode`: the
-    same blocks and the same generator state after them."""
+    """`sample_episodes` against looping `reference_sample_episode` and
+    `integers(0, bounds)`: the same blocks, the same draws and the same
+    generator state after them."""
 
     @settings(max_examples=150, deadline=None)
     @given(sampling_cases())
     # every class exactly n_e members, way equal to the class count, a
-    # count past one chunk and a buffered half-word; then n_e = 1
-    @example((np.split(np.arange(12), 3), 3, 4, episodes.CHUNK + 1, 5, True))
-    @example((np.split(np.arange(15), 5), 2, 1, 3, 6, False))
+    # count past one chunk and a buffered half-word; then n_e = 1; then
+    # random-triplet bounds with a bound of 1, and 2**31 + 1 in every
+    # episode, which sends each chunk to the loop
+    @example((np.split(np.arange(12), 3), 3, 4, episodes.CHUNK + 1, 5, True,
+              (), True))
+    @example((np.split(np.arange(15), 5), 2, 1, 3, 6, False, (), True))
+    @example((np.split(np.arange(30), 5), 4, 2, episodes.CHUNK + 1, 7, True,
+              losses.triplet_counts(np.repeat(np.arange(4), 2)), True))
+    @example((np.split(np.arange(30), 5), 4, 2, episodes.CHUNK + 1, 8, False,
+              [[2**31 + 1, 1]] * 4, True))
     def test_blocks_and_state(self, case):
-        members, n_c, n_e, count, seed, buffered = case
+        members, n_c, n_e, count, seed, buffered, bounds, probe_ok = case
         batch_rng, loop_rng = rng_pair(seed, buffered)
-        got = episodes.sample_episodes(members, n_c, n_e, count, batch_rng)
-        want = reference_episodes(members, n_c, n_e, count, loop_rng)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        with mock.patch.object(draws, "exact", lambda: probe_ok):
+            got = episodes.sample_episodes(members, n_c, n_e, count,
+                                           batch_rng, bounds)
+        want = reference_episodes(members, n_c, n_e, count, loop_rng, bounds)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
         assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
 
     def test_emulation_is_exact_on_this_numpy(self):
@@ -198,12 +222,31 @@ class TestBatchMatchesLoop:
         rng = redraw_state()
         state = rng.bit_generator.state
         assert episodes._draw_chunk(np.full(7, 10), np.arange(70), 3, 4, 2,
-                                    rng) is None
+                                    rng, np.empty(0, np.int64)) is None
         assert rng.bit_generator.state == state
         loop_rng = redraw_state()
-        got = episodes.sample_episodes(members, 3, 4, 2, rng)
+        got, _ = episodes.sample_episodes(members, 3, 4, 2, rng)
         assert np.array_equal(got, reference_episodes(members, 3, 4, 2,
-                                                      loop_rng))
+                                                      loop_rng)[0])
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+    def test_rank_that_would_redraw_falls_back(self):
+        # at seed 0 the member draws batch, but numpy redraws the first
+        # bound's draw, so the chunk goes to the loop
+        members = np.split(np.arange(70), 7)
+        bounds = np.full(3, 2**31 + 1)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert episodes._draw_chunk(np.full(7, 10), np.arange(70), 3, 4, 1,
+                                    rng, np.empty(0, np.int64)) is not None
+        rng.bit_generator.state = state
+        assert episodes._draw_chunk(np.full(7, 10), np.arange(70), 3, 4, 1,
+                                    rng, bounds) is None
+        assert rng.bit_generator.state == state
+        got = episodes.sample_episodes(members, 3, 4, 1, rng, bounds)
+        loop_rng = np.random.default_rng(0)
+        want = reference_episodes(members, 3, 4, 1, loop_rng, bounds)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
         assert rng.bit_generator.state == loop_rng.bit_generator.state
 
     def test_failed_probe_warns_and_loops(self, monkeypatch, caplog):
@@ -214,12 +257,12 @@ class TestBatchMatchesLoop:
         draws.exact.cache_clear()
         try:
             with caplog.at_level(logging.WARNING, logger="uflst"):
-                got = episodes.sample_episodes(members, 4, 3, 5, batch_rng)
+                got, _ = episodes.sample_episodes(members, 4, 3, 5, batch_rng)
                 episodes.sample_episodes(members, 4, 3, 5, batch_rng)
         finally:
             draws.exact.cache_clear()
         assert np.array_equal(got, reference_episodes(members, 4, 3, 5,
-                                                      loop_rng))
+                                                      loop_rng)[0])
         assert len(caplog.records) == 1
         assert "one call at a time" in caplog.records[0].getMessage()
 
@@ -227,7 +270,7 @@ class TestBatchMatchesLoop:
         # numpy samples 300 of 12,000 by a tail shuffle, not Floyd
         members = np.split(np.arange(24_000), 2)
         batch_rng, loop_rng = rng_pair(4)
-        got = episodes.sample_episodes(members, 2, 300, 2, batch_rng)
+        got, _ = episodes.sample_episodes(members, 2, 300, 2, batch_rng)
         assert np.array_equal(got, reference_episodes(members, 2, 300, 2,
-                                                      loop_rng))
+                                                      loop_rng)[0])
         assert batch_rng.bit_generator.state == loop_rng.bit_generator.state

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from uflst import draws, episodes, losses
 from uflst.errors import ContractViolationError
+from test_episodes import reference_sample_episode
 
 
 def fd_embedding_grad(loss_of, emb, step=1e-6):
@@ -341,8 +342,12 @@ def reference_random_triplets(labels, rng):
     )
 
 
+def drawn_ranks(labels, rng):
+    return rng.integers(0, losses.triplet_counts(labels))
+
+
 def assert_same_triplets(labels, batch_rng, loop_rng):
-    got = losses.random_triplets(labels, batch_rng)
+    got = losses.random_triplets(labels, drawn_ranks(labels, batch_rng))
     want = reference_random_triplets(labels, loop_rng)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
@@ -376,15 +381,26 @@ class TestRandomTriplets:
                              redraw_rng())
 
     def test_failed_probe_loops(self, monkeypatch):
+        # with the emulation off, the ranks that the sampler's own
+        # `integers` calls draw still give the choice-loop triplets
         monkeypatch.setattr(draws, "exact", lambda: False)
-        labels = np.repeat(np.arange(4), 3)
-        assert_same_triplets(labels, np.random.default_rng(3),
-                             np.random.default_rng(3))
+        members = np.split(np.arange(40), 8)
+        labels = episodes.episode_layout(4, 3, 1)[0]
+        batch_rng, loop_rng = (np.random.default_rng(3) for _ in range(2))
+        blocks, ranks = episodes.sample_episodes(
+            members, 4, 3, 5, batch_rng, losses.triplet_counts(labels))
+        for block, episode_ranks in zip(blocks, ranks):
+            assert np.array_equal(
+                block, reference_sample_episode(members, 4, 3, loop_rng))
+            got = losses.random_triplets(labels, episode_ranks)
+            want = reference_random_triplets(labels, loop_rng)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
 
     def test_validity(self):
         rng = np.random.default_rng(5)
         labels = np.repeat(np.arange(4), 4)
-        a, p, n = losses.random_triplets(labels, rng)
+        a, p, n = losses.random_triplets(labels, drawn_ranks(labels, rng))
         assert a.size == labels.size
         assert np.all(labels[a] == labels[p])
         assert np.all(labels[a] != labels[n])
@@ -392,7 +408,9 @@ class TestRandomTriplets:
 
     def test_singleton_anchor_skipped(self):
         labels = np.array([0, 0, 1])
-        a, p, n = losses.random_triplets(labels, np.random.default_rng(6))
+        assert losses.triplet_counts(labels).tolist() == [[1, 1], [1, 1]]
+        a, p, n = losses.random_triplets(
+            labels, drawn_ranks(labels, np.random.default_rng(6)))
         assert 2 not in a
         assert a.size == 2
 
@@ -410,7 +428,7 @@ class TestEpisodeLoss:
         for kind in losses.LOSS_KINDS:
             cfg = losses.LossConfig(kind=kind)
             loss, grad = losses.episode_loss(emb, labels, support, cfg,
-                                             rng=rng)
+                                             ranks=drawn_ranks(labels, rng))
             assert np.isfinite(loss)
             assert grad.shape == emb.shape
 
@@ -425,7 +443,7 @@ class TestEpisodeLoss:
                                                              support)
         assert loss == expected_loss and np.array_equal(grad, expected_grad)
 
-    def test_random_kinds_need_rng(self):
+    def test_random_kinds_need_ranks(self):
         with pytest.raises(ContractViolationError):
             losses.episode_loss(np.zeros((12, 3)),
                                 *episodes.episode_layout(3, 4, 1),

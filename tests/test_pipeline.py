@@ -117,6 +117,12 @@ class TestClusteringPhase:
             "'epsilon_x1.5_#2', 'ms_halved_to_8', 'ms_halved_to_4', "
             "'ms_halved_to_2'])")
 
+    def test_ladder_never_lowers_epsilon(self):
+        # an override above 1 has no x1.5 rung: 1.0 gives the same
+        # neighbourhoods and would repeat the failed attempt
+        assert list(pipeline._fallback_ladder(5.0, 4)) == [
+            (5.0, 4, None), (5.0, 2, "ms_halved_to_2")]
+
     def test_ladder_caps_epsilon_at_one(self):
         # eps 0.5 and 0.75 find no core point; the second x1.5 rung (1.125)
         # succeeds, capped to 1.0, with the labels 1.125 gives
@@ -322,24 +328,27 @@ class TestRunTraining:
 
 class TestBatchedSamplingBytes:
     """Training with `episodes.sample_episodes` writes the same bytes as
-    drawing every episode with `Generator.choice` calls."""
+    drawing every episode with `Generator.choice` calls, each followed by
+    the random-triplet `Generator.integers(0, bounds)` call."""
 
     @staticmethod
-    def looped(members, n_c, n_e, count, rng):
-        return np.stack([reference_sample_episode(members, n_c, n_e, rng)
-                         for _ in range(count)])
+    def looped(members, n_c, n_e, count, rng, bounds=()):
+        blocks, ranks = [], []
+        for _ in range(count):
+            blocks.append(reference_sample_episode(members, n_c, n_e, rng))
+            ranks.append(rng.integers(0, bounds))
+        return np.stack(blocks), np.stack(ranks)
 
-    @pytest.mark.parametrize("kind", [losses.PROTOTYPE_KIND,
-                                      losses.HARD_TRIPLET_KIND])
+    @pytest.mark.parametrize("kind", losses.LOSS_KINDS)
     def test_run_matches_choice_loop(self, kind, tmp_path, monkeypatch):
         train, test = small_dataset()
         cfg = small_config(rounds=2)
+        cfg.loss.kind = kind
         if kind == losses.PROTOTYPE_KIND:
-            cfg.loss.kind = kind
             cfg.episode = episodes.EpisodeConfig(
                 n_c_train=4, n_c_test=3, n_e=4, n_s=1, n_q=3,
                 mode=episodes.PROTOTYPE)
-            cfg.validate()
+        cfg.validate()
         batched, looped = tmp_path / "batched", tmp_path / "looped"
         pipeline.run_training(cfg, train, eval_dataset=test,
                               run_dir=str(batched))
