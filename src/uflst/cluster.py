@@ -1,10 +1,12 @@
 """Epsilon selection and deterministic DBSCAN over a precomputed matrix:
-a dense one, or the edge list of a `metric.JaccardMatrix`."""
+a dense one, or the edge list of a `metric.JaccardMatrix`.
+
+DBSCAN's clusters are the connected components of the core-point edges,
+found with array operations on that pair list."""
 
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,63 +95,44 @@ def select_epsilon(values, p):
     return float(np.mean(pool))
 
 
-def _neighbourhoods(values, epsilon):
-    """Sizes and ascending members of the `distance <= epsilon` sets.
-
-    Returns (counts, neighbours): counts[i] is the size of point i's set,
-    self included, and neighbours(i) lists its members.
-    """
-    n, rows, cols, dist = _pairs(values)
-    if epsilon >= 1.0 and dist.size < n * (n - 1) // 2:
-        # every left-out pair is at exactly 1: all points are neighbours
-        everyone = np.arange(n)
-        return np.full(n, n), lambda i: everyone
-    near = dist <= epsilon
-    src = np.concatenate([rows[near], cols[near]])
-    dst = np.concatenate([cols[near], rows[near]])
-    if epsilon >= 0:
-        src = np.concatenate([src, np.arange(n)])
-        dst = np.concatenate([dst, np.arange(n)])
-    order = np.lexsort((dst, src))
-    dst = dst[order]
-    counts = np.bincount(src, minlength=n)
-    ends = np.cumsum(counts)
-    return counts, lambda i: dst[ends[i] - counts[i]:ends[i]]
-
-
 def dbscan_fit(values, epsilon, ms):
     """Classic DBSCAN on a precomputed distance matrix.
 
     `values` is a dense matrix (symmetric, zero diagonal) or a
     JaccardMatrix.  Core point: >= ms points (self included) within
-    distance <= epsilon.  Clusters grow from unvisited core points in
-    ascending-index order, and a border point joins the first cluster that
-    reaches it, so labels are fully deterministic.  Noise is labeled -1.
+    distance <= epsilon.  A cluster is a connected component of the edges
+    between core points, numbered in the order of its smallest index.  A
+    border point joins the lowest-numbered cluster among its core
+    neighbours, as an ascending-index BFS would, so labels are fully
+    deterministic.  Noise is labeled -1.
     """
-    counts, neighbours = _neighbourhoods(values, epsilon)
-    n = counts.size
-    is_core = counts >= ms
+    n, rows, cols, dist = _pairs(values)
+    if epsilon >= 1.0 and dist.size < n * (n - 1) // 2:
+        # every left-out pair is at exactly 1: all points are neighbours
+        return np.full(n, 0 if n >= ms else NOISE, dtype=np.int64)
+    near = dist <= epsilon
+    rows, cols = rows[near], cols[near]
+    counts = np.bincount(rows, minlength=n) + np.bincount(cols, minlength=n)
+    is_core = counts + (epsilon >= 0) >= ms
 
-    UNVISITED = -2
-    labels = np.full(n, UNVISITED, dtype=np.int64)
-    cluster = 0
-    for i in range(n):
-        if labels[i] != UNVISITED:
-            continue
-        if not is_core[i]:
-            labels[i] = NOISE
-            continue
-        labels[i] = cluster
-        seeds = deque([i])
-        while seeds:
-            nb = neighbours(seeds.popleft())
-            # unvisited points, and noise adopted as border points; a
-            # point is labeled once, so each core point expands once
-            new = nb[labels[nb] < 0]
-            labels[new] = cluster
-            seeds.extend(new[is_core[new]])
-        cluster += 1
-    return labels
+    # hook every root onto the smallest root it touches, then flatten
+    # fully; a component's root ends as its smallest index
+    both = is_core[rows] & is_core[cols]
+    a, b = rows[both], cols[both]
+    root = np.arange(n)
+    while not np.array_equal(root[a], root[b]):
+        ra, rb = root[a], root[b]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(root[root], root):
+            root = root[root]
+
+    number = np.cumsum(is_core & (root == np.arange(n))) - 1
+    core_label = np.where(is_core, number[root], n)
+    # a border point takes the lowest label among its core neighbours
+    label = core_label.copy()
+    np.minimum.at(label, rows, core_label[cols])
+    np.minimum.at(label, cols, core_label[rows])
+    return np.where(label < n, label, NOISE)
 
 
 def build_pseudo_labeled_set(raw_labels):

@@ -52,7 +52,8 @@ def oracle_dbscan_partition(values, epsilon, ms):
 
 def reference_dbscan(values, epsilon, ms):
     """Dense-mask DBSCAN with label-on-pop expansion in ascending-index
-    order: the formulation the sparse neighbour lists replaced."""
+    order: the BFS whose labels `dbscan_fit` rebuilds from the connected
+    components of the core graph."""
     within = values <= epsilon
     is_core = within.sum(axis=1) >= ms
     n = values.shape[0]
@@ -87,6 +88,15 @@ def reference_compaction(raw_labels):
         if raw != cluster.NOISE:
             labels.append(remap.setdefault(raw, len(remap)))
     return np.array(labels, dtype=np.int64), len(remap)
+
+
+def edge_jaccard(n, pairs, dist):
+    """A JaccardMatrix storing `pairs` (any order, either orientation) at
+    `dist`."""
+    pairs = np.sort(np.asarray(pairs, dtype=np.int64), axis=1)
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    return metric.JaccardMatrix(n, pairs[order, 0], pairs[order, 1],
+                                np.asarray(dist, dtype=np.float64)[order])
 
 
 def co_membership(labels):
@@ -204,6 +214,48 @@ class TestDbscan:
             assert np.array_equal(cluster.dbscan_fit(d, eps, ms),
                                   reference_dbscan(d, eps, ms))
 
+    def test_deep_scrambled_chain(self):
+        # a 2000-point path under permuted indices, cut in four by three
+        # edges above epsilon: components far deeper than point_sets builds
+        n = 2000
+        rng = np.random.default_rng(5)
+        order = rng.permutation(n)
+        dist = np.full(n - 1, 0.3)
+        dist[[400, 1100, 1500]] = 0.8
+        jm = edge_jaccard(n, np.stack([order[:-1], order[1:]], axis=1), dist)
+        for ms in (1, 2, 3):
+            labels = cluster.dbscan_fit(jm, 0.5, ms)
+            assert np.array_equal(labels, reference_dbscan(jm.values, 0.5, ms))
+            assert labels.max() == 3 and np.all(labels >= 0)
+
+    def test_border_between_clusters_takes_lower_id(self):
+        # two triangles of core points; each core has a private leaf, and
+        # two shared leaves each touch one core of either triangle
+        rng = np.random.default_rng(6)
+        perm = rng.permutation(14)
+        x, y = perm[0:3], perm[3:6]
+        private, shared = perm[6:12], perm[12:14]
+        pairs = [(x[0], x[1]), (x[1], x[2]), (x[0], x[2]),
+                 (y[0], y[1]), (y[1], y[2]), (y[0], y[2]),
+                 *zip(np.concatenate([x, y]), private),
+                 (shared[0], x[2]), (shared[0], y[0]),
+                 (shared[1], x[0]), (shared[1], y[2])]
+        jm = edge_jaccard(14, pairs, np.full(len(pairs), 0.3))
+        labels = cluster.dbscan_fit(jm, 0.5, 4)
+        assert np.array_equal(labels, reference_dbscan(jm.values, 0.5, 4))
+        # the cluster holding the smaller core index is 0
+        assert labels[min(min(x), min(y))] == 0
+        assert labels[x[0]] != labels[y[0]]
+        assert np.all(labels[shared] == 0)
+
+    def test_negative_epsilon_counts_no_self(self):
+        # below 0 not even the zero diagonal is within epsilon
+        d = np.zeros((3, 3))
+        jm = edge_jaccard(3, [(0, 1)], [0.0])
+        for values in (d, jm, jm.values):
+            labels = cluster.dbscan_fit(values, -0.5, 1)
+            assert np.all(labels == cluster.NOISE)
+
     def test_epsilon_zero_coincident_points(self):
         # coincident points have distance 0 <= 0 and still cluster
         d = np.zeros((5, 5))
@@ -261,9 +313,10 @@ class TestSparseMatchesDense:
     def test_dbscan_labels(self, case, ms, data):
         jm = sparse_jaccard(*case)
         # stored edge values test the <= boundary; values >= 1 make every
-        # pair a neighbour, as the dense mask does
+        # pair a neighbour, as the dense mask does; below 0 no point
+        # counts itself
         epsilon = data.draw(st.one_of(
-            st.sampled_from([0.0, 1.0, 1.5, *jm.dist.tolist()]),
+            st.sampled_from([-0.5, 0.0, 1.0, 1.5, *jm.dist.tolist()]),
             st.floats(0.0, 2.0)))
         dense = jm.values
         labels = cluster.dbscan_fit(jm, epsilon, ms)
