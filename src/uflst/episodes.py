@@ -3,8 +3,9 @@
 An episode samples n_c pseudo-classes and n_e examples per class and is
 held as one (n_c, n_e) array of dataset indices; in prototype mode the
 first n_s columns are the support and the other n_q the query.  Training
-and evaluation embed the flattened block and read its rows through
-`episode_layout`.
+embeds the flattened block; evaluation embeds the rows a round's blocks
+touch once and gathers each block from them.  Both read a block's rows
+through `episode_layout`.
 
 An episode is 1 + n_c `Generator.choice(..., replace=False)` calls (the
 classes, then the members of each), plus one `Generator.integers(0,

@@ -56,9 +56,14 @@ def nmi(a, b):
 
 
 def nearest_prototype_predict(support_emb, support_labels, query_emb):
-    """Classify each query to the class whose support mean is closest."""
+    """Classify each query to the class whose support mean is closest.
+
+    Stacked (..., rows, D) support and query embeddings, under the one
+    row labelling `support_labels`, predict each stack entry as its own
+    2-D call would.
+    """
     classes, _, _, protos = metric.class_means(support_emb, support_labels)
-    return classes[np.argmin(metric.sq_distances(query_emb, protos), axis=1)]
+    return classes[np.argmin(metric.sq_distances(query_emb, protos), axis=-1)]
 
 
 def eval_members(params, features, labels, protocol):
@@ -83,9 +88,11 @@ def few_shot_accuracy(params, features, labels, protocol, n_episodes, rng):
     The `n_episodes` (n_c_test, n_s + n_q) blocks come from one
     `episodes.sample_episodes` call: the same blocks, and the same `rng`
     state after them, as that many `episodes.sample_episode` calls.  The
-    encoder embeds each block in block order, and each query goes to
-    the nearest prototype of the support rows that
-    `episodes.episode_layout` marks.
+    encoder embeds the rows the blocks touch once, so a non-finite row
+    raises only when some episode draws it.  The episodes are then scored
+    `episodes.CHUNK` at a time in one stacked `nearest_prototype_predict`
+    call: each query goes to the nearest prototype of the support rows
+    that `episodes.episode_layout` marks.
     """
     if n_episodes < 1:
         raise ConfigError(f"episodes must be >= 1, got {n_episodes}")
@@ -96,12 +103,18 @@ def few_shot_accuracy(params, features, labels, protocol, n_episodes, rng):
     query = ~support
     blocks, _ = episodes.sample_episodes(members, way, per_class, n_episodes,
                                          rng)
+    drawn = np.zeros(len(features), dtype=bool)
+    drawn[blocks] = True
+    emb, _ = network.forward(params, features[drawn])
+    at = np.cumsum(drawn) - 1   # each drawn row's position in `emb`
     accs = np.empty(n_episodes)
-    for e, block in enumerate(blocks):
-        emb, _ = network.forward(params, features[block.ravel()])
-        pred = nearest_prototype_predict(emb[support], classes[support],
-                                         emb[query])
-        accs[e] = np.mean(pred == classes[query])
+    for start in range(0, n_episodes, episodes.CHUNK):
+        ids = at[blocks[start:start + episodes.CHUNK]]
+        chunk = emb[ids.reshape(len(ids), way * per_class)]
+        pred = nearest_prototype_predict(chunk[:, support], classes[support],
+                                         chunk[:, query])
+        accs[start:start + len(chunk)] = np.mean(pred == classes[query],
+                                                 axis=1)
     return float(np.mean(accs)), float(np.std(accs))
 
 

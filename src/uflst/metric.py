@@ -48,9 +48,11 @@ class JaccardMatrix:
 
 def sq_distances(a, b):
     """Squared Euclidean distance between every row of `a` and every row of
-    `b`, clamped at 0 against cancellation."""
-    dist = (np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
-            - 2.0 * (a @ b.T))
+    `b`, clamped at 0 against cancellation.  Stacked (..., rows, D) inputs
+    give each stack entry the bits of its own 2-D call."""
+    dist = (np.sum(a * a, axis=-1)[..., :, None]
+            + np.sum(b * b, axis=-1)[..., None, :]
+            - 2.0 * (a @ np.swapaxes(b, -1, -2)))
     np.maximum(dist, 0.0, out=dist)
     return dist
 
@@ -59,11 +61,13 @@ def class_means(points, labels):
     """(classes, of_row, counts, means): the sorted distinct labels, each
     row's class position, and each class's row count and mean row.  Rows
     are added to 0 in row order, as `np.mean(axis=0)` adds them at any
-    width but 1 (there it sums pairwise), so the means carry its bits."""
+    width but 1 (there it sums pairwise), so the means carry its bits.
+    Stacked (..., rows, D) points share the one row labelling and give
+    (..., classes, D) means, each with the bits of its own 2-D call."""
     classes, of_row, counts = np.unique(labels, return_inverse=True,
                                         return_counts=True)
-    sums = np.zeros((classes.size, points.shape[1]))
-    np.add.at(sums, of_row, points)
+    sums = np.zeros((*points.shape[:-2], classes.size, points.shape[-1]))
+    np.add.at(sums, (Ellipsis, of_row, slice(None)), points)
     return classes, of_row, counts, sums / counts[:, None]
 
 

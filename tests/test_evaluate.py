@@ -85,6 +85,25 @@ def reference_nearest_prototype_predict(support_emb, support_labels,
     return classes[np.argmin(metric.sq_distances(query_emb, protos), axis=1)]
 
 
+def reference_few_shot_accuracy(params, features, labels, protocol,
+                                n_episodes, rng):
+    """The per-episode loop that one embedding per round replaced: the
+    same `sample_episodes` blocks, each embedded and scored on its own."""
+    features = np.asarray(features, dtype=np.float64)
+    members = evaluate.eval_members(params, features, labels, protocol)
+    way, per_class = protocol.n_c_test, protocol.n_s + protocol.n_q
+    classes, support = episodes.episode_layout(way, per_class, protocol.n_s)
+    blocks, _ = episodes.sample_episodes(members, way, per_class, n_episodes,
+                                         rng)
+    accs = []
+    for block in blocks:
+        emb, _ = network.forward(params, features[block.ravel()])
+        pred = reference_nearest_prototype_predict(
+            emb[support], classes[support], emb[~support])
+        accs.append(np.mean(pred == classes[~support]))
+    return float(np.mean(accs)), float(np.std(accs))
+
+
 class TestNearestPrototype:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(1, 7))
@@ -97,6 +116,28 @@ class TestNearestPrototype:
         assert np.array_equal(
             evaluate.nearest_prototype_predict(sup, labels, qry),
             reference_nearest_prototype_predict(sup, labels, qry))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(1, 4),
+           st.integers(1, 9))
+    def test_stacked_matches_each_episode(self, seed, way, shot, count):
+        rng = np.random.default_rng(seed)
+        labels = rng.permutation(
+            np.repeat(rng.choice(50, size=way, replace=False), shot))
+        sup = rng.normal(size=(count, labels.size, 5))
+        qry = rng.normal(size=(count, 7, 5))
+        _, _, _, protos = metric.class_means(sup, labels)
+        dist = metric.sq_distances(qry, protos)
+        pred = evaluate.nearest_prototype_predict(sup, labels, qry)
+        assert pred.shape == (count, 7)
+        for e in range(count):
+            assert np.array_equal(protos[e],
+                                  metric.class_means(sup[e], labels)[3])
+            assert np.array_equal(dist[e],
+                                  metric.sq_distances(qry[e], protos[e]))
+            assert np.array_equal(
+                pred[e], evaluate.nearest_prototype_predict(sup[e], labels,
+                                                            qry[e]))
 
     def test_separable(self):
         sup = np.array([[0.0, 0.0], [10.0, 0.0]])
@@ -157,6 +198,61 @@ class TestFewShotAccuracy:
         b = evaluate.few_shot_accuracy(p, feats, labels, proto, 30,
                                        np.random.default_rng(11))
         assert a == b
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(1, 4),
+           st.integers(1, 5), st.integers(0, 3),
+           st.sampled_from([1, 255, 256, 257, 600]))
+    def test_matches_per_episode_loop(self, seed, way, n_s, n_q, small,
+                                      n_episodes):
+        # `small` classes too small for the protocol sit among the eligible
+        # ones; the episode counts cross episodes.CHUNK
+        rng = np.random.default_rng(seed)
+        per_class = n_s + n_q
+        sizes = np.concatenate([
+            rng.integers(per_class, per_class + 6, size=way + rng.integers(3)),
+            rng.integers(1, per_class, size=small)])
+        labels = rng.permutation(np.repeat(np.arange(sizes.size), sizes))
+        feats = rng.normal(size=(labels.size, 6))
+        params = network.init_params([6, 16, 4], seed=seed % 1000)
+        proto = episodes.EpisodeConfig(n_c_test=way, n_s=n_s, n_q=n_q)
+        got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
+        got = evaluate.few_shot_accuracy(params, feats, labels, proto,
+                                         n_episodes, got_rng)
+        want = reference_few_shot_accuracy(params, feats, labels, proto,
+                                           n_episodes, want_rng)
+        assert got == want
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_nan_in_undrawn_row_is_ignored(self):
+        rng = np.random.default_rng(8)
+        feats = rng.normal(size=(40, 4))
+        labels = np.repeat(np.arange(8), 5)
+        labels[-3:] = 99  # a class of 3 cannot fill a 1 + 3 episode
+        proto = episodes.EpisodeConfig(n_c_test=3, n_s=1, n_q=3)
+        p = self.identity_params(4)
+        members = evaluate.eval_members(p, feats, labels, proto)
+        blocks, _ = episodes.sample_episodes(members, 3, 4, 2,
+                                             np.random.default_rng(9))
+        undrawn = np.setdiff1d(np.concatenate(members), blocks)
+        feats[-1, 0] = np.nan          # in the ineligible class
+        feats[undrawn[0], 1] = np.inf  # eligible but in no episode
+        got = evaluate.few_shot_accuracy(p, feats, labels, proto, 2,
+                                         np.random.default_rng(9))
+        assert got == reference_few_shot_accuracy(
+            p, feats, labels, proto, 2, np.random.default_rng(9))
+
+    def test_nan_in_drawn_row_raises(self):
+        # 4 classes of exactly 4 rows, 4-way 1 + 3: every row is drawn
+        feats = np.random.default_rng(10).normal(size=(16, 4))
+        feats[13, 2] = np.nan
+        labels = np.repeat(np.arange(4), 4)
+        proto = episodes.EpisodeConfig(n_c_test=4, n_s=1, n_q=3)
+        for score in (evaluate.few_shot_accuracy,
+                      reference_few_shot_accuracy):
+            with pytest.raises(InputError):
+                score(self.identity_params(4), feats, labels, proto, 1,
+                      np.random.default_rng(0))
 
     def test_infeasible_protocol(self):
         feats = np.zeros((8, 2))
