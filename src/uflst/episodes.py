@@ -7,12 +7,14 @@ embeds the flattened block; evaluation embeds the rows a round's blocks
 touch once and gathers each block from them.  Both read a block's rows
 through `episode_layout`.
 
-An episode is 1 + n_c `Generator.choice(..., replace=False)` calls (the
-classes, then the members of each), plus one `Generator.integers(0,
-bounds)` call for random triplets.  `sample_episodes` draws many episodes
-at once through `draws`, with the same numbers and the same generator
-state as making those calls one episode after another; it makes the
-calls themselves for a chunk where the batch cannot be exact.
+An episode draws n_c distinct classes uniformly, then n_e distinct members
+of each in random order, then the ranks of its random triplets, if any.
+`sample_episodes` draws `CHUNK` episodes at a time through `draws`, from
+one block of generator outputs, into preallocated output arrays.  The
+draws read the outputs that 1 + n_c `Generator.choice(..., replace=False)`
+calls and one `Generator.integers(0, bounds)` call per episode would, and
+give the same values except where numpy would reject an output (see
+`draws`).
 """
 
 from __future__ import annotations
@@ -73,45 +75,35 @@ def sample_episode(members, n_c, n_e, rng):
 
 
 def sample_episodes(members, n_c, n_e, count, rng, bounds=()):
-    """`count` (n_c, n_e) episode blocks and, after each, the draws of
-    `rng.integers(0, bounds)`: the same numbers and final `rng` state as
-    that many `sample_episode` and `integers` calls in turn."""
+    """`count` (n_c, n_e) episode blocks, as `sample_episode` draws them
+    one after another, and with each its ranks: one draw in [0, b) per
+    bound b of `bounds`.  Returns the (count, n_c, n_e) blocks and the
+    (count, *bounds.shape) int64 ranks."""
     if len(members) < n_c:
         raise EpisodeInfeasibleError(
             f"{len(members)} eligible classes < way {n_c}"
         )
-    bounds = np.asarray(bounds, dtype=np.int64)
     sizes = np.array([len(m) for m in members], dtype=np.int64)
-    batched = (draws.exact() and sizes.min() >= n_e
-               and draws.floyd_fits(len(members), n_c)
-               and draws.floyd_fits(sizes, n_e))
-    flat = np.concatenate(members) if batched else None
-    chunks = []
+    if sizes.min() < n_e:
+        raise EpisodeInfeasibleError(
+            f"a class of {sizes.min()} members < {n_e} examples per class"
+        )
+    bounds = np.asarray(bounds, dtype=np.int64)
+    flat = np.concatenate(members)
+    blocks = np.empty((count, n_c, n_e), dtype=flat.dtype)
+    ranks = np.empty((count, *bounds.shape), dtype=np.int64)
     for done in range(0, count, CHUNK):
-        todo = min(CHUNK, count - done)
-        chunk = (_draw_chunk(sizes, flat, n_c, n_e, todo, rng, bounds)
-                 if batched else None)
-        if chunk is None:
-            drawn = [_choice_episode(members, n_c, n_e, rng, bounds)
-                     for _ in range(todo)]
-            chunk = [np.array(part) for part in zip(*drawn)]
-        chunks.append(chunk)
-    return tuple(np.concatenate(part) for part in zip(*chunks))
+        _draw_chunk(sizes, flat, n_c, n_e, rng, bounds,
+                    blocks[done:done + CHUNK], ranks[done:done + CHUNK])
+    return blocks, ranks
 
 
-def _choice_episode(members, n_c, n_e, rng, bounds):
-    chosen = rng.choice(len(members), size=n_c, replace=False)
-    return ([rng.choice(members[c], size=n_e, replace=False) for c in chosen],
-            rng.integers(0, bounds))
-
-
-def _draw_chunk(sizes, flat, n_c, n_e, count, rng, bounds):
-    """`count` episodes and their `integers(0, bounds)` draws from one
-    lookahead block of outputs, for classes of `sizes` members laid end to
-    end in `flat`: each episode's classes in scalar Python (the next one
-    starts where this one's draws end), then all member rows and
-    `integers` draws at once.  Returns None, with `rng` untouched, when
-    numpy would have drawn again."""
+def _draw_chunk(sizes, flat, n_c, n_e, rng, bounds, blocks, ranks):
+    """Fill one chunk of `blocks` and `ranks` from one lookahead block of
+    outputs, for classes of `sizes` members laid end to end in `flat`: each
+    episode's classes in scalar Python (the next one starts where this
+    one's draws end), then all member rows and ranks at once."""
+    count = len(blocks)
     class_outputs = int(draws.choice_outputs(sizes.size, n_c))
     taken = (bounds > 1).ravel()   # a bound of 1 takes no output
     outputs = class_outputs + n_c * (2 * n_e - 1) + int(taken.sum())
@@ -123,27 +115,21 @@ def _draw_chunk(sizes, flat, n_c, n_e, count, rng, bounds):
     for e in range(count):
         classes = draws.choice_scalar(
             ahead.u[at:at + class_outputs].tolist(), sizes.size, n_c)
-        if classes is None:
-            ahead.rewind()
-            return None
         chosen[e] = classes
         first_row[e] = at + class_outputs
         at += outputs - sum(full[c] for c in classes)
+    ahead.commit(at)
     pop = sizes[chosen]
     used = draws.choice_outputs(pop, n_e)
     start = first_row[:, None] + np.cumsum(used, axis=1) - used
-    picks, redraw = draws.choice_rows(ahead.u, start.ravel(), pop.ravel(), n_e)
-    # an episode's `integers` draws follow its last row's; a bound of 1
-    # reads an output before its draw and ignores it
+    picks = draws.choice_rows(ahead.u, start.ravel(), pop.ravel(), n_e)
+    # an episode's ranks follow its last row's draws; a bound of 1 reads
+    # an output before its draw and ignores it
     at_rank = start[:, -1:] + used[:, -1:] + np.cumsum(taken) - 1
-    ranks, rank_redraw = draws.bounded(ahead.u[at_rank], bounds.ravel() - 1)
-    if redraw or rank_redraw:
-        ahead.rewind()
-        return None
-    ahead.commit(at)
+    ranks[:] = draws.bounded(ahead.u[at_rank],
+                             bounds.ravel() - 1).reshape(ranks.shape)
     offsets = (np.cumsum(sizes) - sizes)[chosen].reshape(-1, 1)
-    return (flat[offsets + picks].reshape(count, n_c, n_e),
-            ranks.reshape(count, *bounds.shape))
+    blocks[:] = flat[offsets + picks].reshape(blocks.shape)
 
 
 def episode_layout(n_c, n_e, n_s):

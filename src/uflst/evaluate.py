@@ -86,9 +86,8 @@ def few_shot_accuracy(params, features, labels, protocol, n_episodes, rng):
     """Mean and std of nearest-prototype accuracy over evaluation episodes.
 
     The `n_episodes` (n_c_test, n_s + n_q) blocks come from one
-    `episodes.sample_episodes` call: the same blocks, and the same `rng`
-    state after them, as that many `episodes.sample_episode` calls.  The
-    encoder embeds the rows the blocks touch once, so a non-finite row
+    `episodes.sample_episodes` call, which writes them into one array.
+    The encoder embeds the rows the blocks touch once, so a non-finite row
     raises only when some episode draws it.  The episodes are then scored
     `episodes.CHUNK` at a time in one stacked `nearest_prototype_predict`
     call: each query goes to the nearest prototype of the support rows

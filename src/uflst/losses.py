@@ -164,10 +164,9 @@ def random_triplets(labels, ranks):
 
     Anchors go in index order; `ranks[i]` picks anchor i's positive and
     negative among its candidate indices in ascending order, each rank
-    below its `triplet_counts` bound.  Uniform ranks from
-    `Generator.integers(0, triplet_counts(labels))` make the same picks as
-    one scalar `Generator.choice` of the candidates per pick, numpy's own
-    redraws included.
+    below its `triplet_counts` bound.  Uniform ranks, as
+    `episodes.sample_episodes` draws them, pick uniformly among the
+    candidates.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if np.unique(labels).size < 2:

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uflst import draws, episodes, losses
+from uflst import episodes, losses
 from uflst.errors import ContractViolationError
-from test_episodes import reference_sample_episode
 
 
 def fd_embedding_grad(loss_of, emb, step=1e-6):
@@ -379,23 +378,6 @@ class TestRandomTriplets:
 
         assert_same_triplets(np.array([0, 0, 0, 0, 1, 1]), redraw_rng(),
                              redraw_rng())
-
-    def test_failed_probe_loops(self, monkeypatch):
-        # with the emulation off, the ranks that the sampler's own
-        # `integers` calls draw still give the choice-loop triplets
-        monkeypatch.setattr(draws, "exact", lambda: False)
-        members = np.split(np.arange(40), 8)
-        labels = episodes.episode_layout(4, 3, 1)[0]
-        batch_rng, loop_rng = (np.random.default_rng(3) for _ in range(2))
-        blocks, ranks = episodes.sample_episodes(
-            members, 4, 3, 5, batch_rng, losses.triplet_counts(labels))
-        for block, episode_ranks in zip(blocks, ranks):
-            assert np.array_equal(
-                block, reference_sample_episode(members, 4, 3, loop_rng))
-            got = losses.random_triplets(labels, episode_ranks)
-            want = reference_random_triplets(labels, loop_rng)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
-        assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
 
     def test_validity(self):
         rng = np.random.default_rng(5)
