@@ -11,12 +11,8 @@ import re
 
 import yaml
 
-from .cluster import DbscanConfig
 from .data import SyntheticSpec
-from .episodes import EpisodeConfig
 from .errors import ConfigError
-from .losses import LossConfig
-from .network import OptimizerConfig
 from .pipeline import TrainConfig
 
 
@@ -111,14 +107,13 @@ def dump_config(cfg, path):
         yaml.safe_dump(cfg, f, sort_keys=True, default_flow_style=None)
 
 
-_SECTIONS = {"optimizer": OptimizerConfig, "dbscan": DbscanConfig,
-             "episode": EpisodeConfig, "loss": LossConfig}
-
-
 def build_train_config(cfg):
-    """Validated TrainConfig from every config key but `synthetic`."""
-    kwargs = {key: value for key, value in cfg.items() if key != "synthetic"}
-    kwargs.update((name, cls(**cfg[name])) for name, cls in _SECTIONS.items())
+    """Validated TrainConfig from every config key but `synthetic`; each
+    section becomes an instance of its `TrainConfig()` default's class."""
+    defaults = TrainConfig()
+    kwargs = {key: type(getattr(defaults, key))(**value)
+              if isinstance(value, dict) else value
+              for key, value in cfg.items() if key != "synthetic"}
     kwargs["hidden_dims"] = tuple(cfg["hidden_dims"])
     tc = TrainConfig(**kwargs)
     tc.validate()

@@ -1,8 +1,10 @@
 """Training objectives over episode embeddings.
 
 All losses return (scalar, d_loss/d_embeddings) so the encoder backward
-pass can chain them; distances are raw squared Euclidean throughout.  No
-loss draws: random triplets read ranks drawn by `episodes.sample_episodes`.
+pass can chain them; distances are raw squared Euclidean throughout.
+`episode_objective` fixes a round's loss for its episode block shape,
+with the bounds of the ranks it reads.  No loss draws: random triplets
+read ranks drawn by `episodes.sample_episodes`.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import metric
+from . import episodes, metric
 from .errors import ConfigError, ContractViolationError, InputError
 
 PROTOTYPE_KIND = "prototype"
@@ -19,7 +21,6 @@ TRIPLET_KIND = "triplet"
 SOFT_MARGIN_KIND = "soft_margin_triplet"
 HARD_TRIPLET_KIND = "hard_triplet"
 LOSS_KINDS = (PROTOTYPE_KIND, TRIPLET_KIND, SOFT_MARGIN_KIND, HARD_TRIPLET_KIND)
-RANDOM_TRIPLET_KINDS = (TRIPLET_KIND, SOFT_MARGIN_KIND)
 TRIPLET_MARGIN = 0.5
 
 
@@ -150,60 +151,44 @@ def mine_hard_triplets(emb, labels):
     )
 
 
-def triplet_counts(labels):
-    """The (positive, negative) candidate counts of each anchor with a
-    same-class partner, anchors in index order: the bounds of the ranks
-    that `random_triplets` reads."""
-    size = np.sum(np.equal.outer(labels, labels), axis=1)
-    size = size[size > 1]
-    return np.stack([size - 1, len(labels) - size], axis=1)
+def episode_objective(kind, n_c, n_e, n_s):
+    """A round's loss over its flattened (n_c, n_e) episode blocks, and the
+    bounds of the ranks it reads: (fn, bounds).
 
-
-def random_triplets(labels, ranks):
-    """One (positive, negative) pair per anchor with a same-class partner.
-
-    Anchors go in index order; `ranks[i]` picks anchor i's positive and
-    negative among its candidate indices in ascending order, each rank
-    below its `triplet_counts` bound.  Uniform ranks, as
-    `episodes.sample_episodes` draws them, pick uniformly among the
-    candidates.
+    `fn(emb, ranks)` gives (loss, grad) for one block, `ranks` holding one
+    draw in [0, b) per bound b (`episodes.sample_episodes`).  Row
+    c * n_e + j is member j of class c, its first n_s columns the support.
+    The random triplet kinds make every row an anchor (n_e >= 2), whose
+    (positive, negative) ranks pick among its candidates in ascending
+    index order; the other kinds read no ranks and reach `prototype_loss`
+    and `mine_hard_triplets` through this module's globals per episode.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    if np.unique(labels).size < 2:
-        raise ContractViolationError("triplets need at least 2 classes")
-    other = labels[:, None] != labels[None, :]
-    same = ~other
-    np.fill_diagonal(same, False)
-    anchors = np.flatnonzero(same.any(axis=1))
-    same, other, ranks = same[anchors], other[anchors], np.asarray(ranks)
-    # the k-th candidate of a row is the number of columns before its
-    # (k + 1)-th True
-    positives = np.sum(np.cumsum(same, axis=1) <= ranks[:, :1], axis=1)
-    negatives = np.sum(np.cumsum(other, axis=1) <= ranks[:, 1:], axis=1)
-    return (anchors.astype(np.intp), positives.astype(np.intp),
-            negatives.astype(np.intp))
-
-
-def episode_loss(emb, labels, support_mask, cfg, ranks=None):
-    """Dispatch to the configured loss for one episode batch.
-
-    `labels` and `support_mask` are the `episodes.episode_layout` of the
-    rows of `emb`; the support mask is read only by the prototype loss.
-    The random triplet kinds need the episode's `ranks`, drawn with
-    `triplet_counts(labels)` bounds; the others read none.
-    """
-    if cfg.kind == PROTOTYPE_KIND:
-        return prototype_loss(emb, labels, support_mask)
-
-    if cfg.kind == HARD_TRIPLET_KIND:
-        a, p, n, _ = mine_hard_triplets(emb, labels)
-    else:
-        if ranks is None:
-            raise ContractViolationError("random triplets need drawn ranks")
-        a, p, n = random_triplets(labels, ranks)
-    fn = (triplet_soft_margin_loss if cfg.kind == SOFT_MARGIN_KIND
+    if n_c < 2:
+        raise ContractViolationError("an episode needs at least 2 classes")
+    labels, support = episodes.episode_layout(n_c, n_e, n_s)
+    if kind == PROTOTYPE_KIND:
+        return (lambda emb, ranks: prototype_loss(emb, labels, support)), ()
+    fn = (triplet_soft_margin_loss if kind == SOFT_MARGIN_KIND
           else triplet_hinge_loss)
-    return indexed_triplet_loss(fn, emb, a, p, n)
+    if kind == HARD_TRIPLET_KIND:
+        def hard(emb, ranks):
+            a, p, n, _ = mine_hard_triplets(emb, labels)
+            return indexed_triplet_loss(fn, emb, a, p, n)
+        return hard, ()
+
+    # an anchor's positives are its class's other rows and its negatives
+    # every row outside its class: rank p skips the anchor at column j,
+    # rank q skips the class's rows from `first` on
+    anchors = np.arange(n_c * n_e)
+    j = anchors % n_e
+    first = anchors - j
+
+    def drawn(emb, ranks):
+        p, q = ranks[:, 0], ranks[:, 1]
+        return indexed_triplet_loss(fn, emb, anchors, first + p + (p >= j),
+                                    q + n_e * (q >= first))
+    return drawn, np.full((n_c * n_e, 2), [n_e - 1, (n_c - 1) * n_e],
+                          dtype=np.int64)
 
 
 def indexed_triplet_loss(fn, emb, a, p, n):

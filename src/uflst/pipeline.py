@@ -154,18 +154,17 @@ def run_episodic_phase(params, features, pl, config, rng):
     n_kept = int(pl.kept_indices.size)
     batches_per_epoch = max(1, math.ceil(n_kept / (way * cfg.n_e)))
     total = config.epochs_per_round * batches_per_epoch
-    labels, support_mask = episodes.episode_layout(way, cfg.n_e, cfg.n_s)
-    # one batch from `rng`: every block and, for random triplets, its ranks
-    bounds = (losses.triplet_counts(labels)
-              if config.loss.kind in losses.RANDOM_TRIPLET_KINDS else ())
+    # one objective for the round's block shape, and one batch from `rng`:
+    # every block with the ranks the objective reads
+    objective, bounds = losses.episode_objective(config.loss.kind, way,
+                                                 cfg.n_e, cfg.n_s)
     blocks, ranks = episodes.sample_episodes(members, way, cfg.n_e, total,
                                              rng, bounds)
     loss_sum = 0.0
     for s, (block, episode_ranks) in enumerate(zip(blocks, ranks)):
         epoch = s // batches_per_epoch + 1
         emb, cache = network.forward(params, features[block.ravel()])
-        loss, demb = losses.episode_loss(emb, labels, support_mask,
-                                         config.loss, ranks=episode_ranks)
+        loss, demb = objective(emb, episode_ranks)
         grad = network.backward(params, cache, demb)
         network.adam_step(params, grad, config.optimizer, epoch)
         loss_sum += loss

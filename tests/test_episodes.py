@@ -76,11 +76,12 @@ def sampling_cases(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     perm = np.random.default_rng(seed).permutation(sum(sizes))
     members = np.split(perm, np.cumsum(sizes)[:-1])
-    # the random-triplet bounds of this layout (a positive bound of 1 at
-    # n_e = 2), or any bounds
-    labels = episodes.episode_layout(n_c, n_e, 1)[0]
+    # the random-triplet bounds of this block shape (a positive bound of 1
+    # at n_e = 2; none at n_e = 1, which has no positive), or any bounds
+    triplet_bounds = (losses.episode_objective(losses.TRIPLET_KIND, n_c, n_e,
+                                               1)[1] if n_e > 1 else ())
     bounds = draw(st.one_of(
-        st.just(()), st.just(losses.triplet_counts(labels)),
+        st.just(()), st.just(triplet_bounds),
         st.lists(st.sampled_from([1, 2, 3, 1000]), max_size=6)))
     return members, n_c, n_e, count, seed, draw(st.booleans()), bounds
 
@@ -200,7 +201,7 @@ class TestBatchMatchesLoop:
               ()))
     @example((np.split(np.arange(15), 5), 2, 1, 3, 6, False, ()))
     @example((np.split(np.arange(30), 5), 4, 2, episodes.CHUNK + 1, 7, True,
-              losses.triplet_counts(np.repeat(np.arange(4), 2))))
+              losses.episode_objective(losses.TRIPLET_KIND, 4, 2, 1)[1]))
     def test_blocks_and_state(self, case):
         members, n_c, n_e, count, seed, buffered, bounds = case
         batch_rng, loop_rng = rng_pair(seed, buffered)

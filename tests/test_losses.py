@@ -1,6 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from uflst import episodes, losses
 from uflst.errors import ContractViolationError
@@ -341,13 +343,30 @@ def reference_random_triplets(labels, rng):
     )
 
 
-def drawn_ranks(labels, rng):
-    return rng.integers(0, losses.triplet_counts(labels))
+@st.composite
+def random_blocks(draw):
+    """A random-triplet block shape, a seed and whether the generator
+    starts on a buffered upper half-word."""
+    return (draw(st.integers(2, 40)), draw(st.integers(2, 6)),
+            draw(st.integers(0, 2**32 - 1)), draw(st.booleans()))
 
 
-def assert_same_triplets(labels, batch_rng, loop_rng):
-    got = losses.random_triplets(labels, drawn_ranks(labels, batch_rng))
-    want = reference_random_triplets(labels, loop_rng)
+def objective_triplets(kind, n_c, n_e, ranks):
+    """The (anchor, positive, negative) rows that the `kind` objective of
+    an (n_c, n_e) block scores for one episode's ranks."""
+    fn, _ = losses.episode_objective(kind, n_c, n_e, 1)
+    with mock.patch.object(losses, "indexed_triplet_loss",
+                           wraps=losses.indexed_triplet_loss) as spy:
+        fn(np.zeros((n_c * n_e, 1)), ranks)
+    return spy.call_args.args[2:]
+
+
+def assert_same_triplets(n_c, n_e, batch_rng, loop_rng):
+    _, bounds = losses.episode_objective(losses.TRIPLET_KIND, n_c, n_e, 1)
+    got = objective_triplets(losses.TRIPLET_KIND, n_c, n_e,
+                             batch_rng.integers(0, bounds))
+    want = reference_random_triplets(
+        episodes.episode_layout(n_c, n_e, 1)[0], loop_rng)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
     assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
@@ -355,20 +374,21 @@ def assert_same_triplets(labels, batch_rng, loop_rng):
 
 class TestRandomTriplets:
     @settings(max_examples=200, deadline=None)
-    @given(labels=st.lists(st.integers(0, 5), min_size=2, max_size=60)
-           .filter(lambda xs: len(set(xs)) > 1),
-           seed=st.integers(0, 2**32 - 1), buffered=st.booleans())
-    def test_matches_choice_loop(self, labels, seed, buffered):
-        # singleton classes (no anchor), one-candidate picks (no draw) and
-        # a buffered upper half-word all come up
+    @given(random_blocks())
+    # n_e = 2: every positive bound is 1 and takes no output
+    @example((7, 2, 3, False))
+    @example((2, 2, 4, True))
+    def test_matches_choice_loop(self, case):
+        n_c, n_e, seed, buffered = case
         batch_rng, loop_rng = (np.random.default_rng(seed) for _ in range(2))
         if buffered:
             for rng in (batch_rng, loop_rng):
                 rng.integers(0, 2**32, dtype=np.uint32)
-        assert_same_triplets(np.array(labels), batch_rng, loop_rng)
+        assert_same_triplets(n_c, n_e, batch_rng, loop_rng)
 
     def test_redraw_matches_choice_loop(self):
-        # the first pick spans 3 values, so a next output of 0 is redrawn
+        # the first positive spans 3 values, so a next output of 0 is
+        # redrawn
         def redraw_rng():
             rng = np.random.default_rng(0)
             state = rng.bit_generator.state
@@ -376,25 +396,31 @@ class TestRandomTriplets:
             rng.bit_generator.state = state
             return rng
 
-        assert_same_triplets(np.array([0, 0, 0, 0, 1, 1]), redraw_rng(),
-                             redraw_rng())
+        assert_same_triplets(2, 4, redraw_rng(), redraw_rng())
 
     def test_validity(self):
         rng = np.random.default_rng(5)
         labels = np.repeat(np.arange(4), 4)
-        a, p, n = losses.random_triplets(labels, drawn_ranks(labels, rng))
-        assert a.size == labels.size
-        assert np.all(labels[a] == labels[p])
-        assert np.all(labels[a] != labels[n])
-        assert np.all(a != p)
+        for kind in (losses.TRIPLET_KIND, losses.SOFT_MARGIN_KIND):
+            _, bounds = losses.episode_objective(kind, 4, 4, 1)
+            assert bounds.dtype == np.int64
+            assert bounds.tolist() == [[3, 12]] * 16
+            a, p, n = objective_triplets(kind, 4, 4, rng.integers(0, bounds))
+            assert np.array_equal(a, np.arange(16))
+            assert np.all(labels[a] == labels[p])
+            assert np.all(labels[a] != labels[n])
+            assert np.all(a != p)
 
-    def test_singleton_anchor_skipped(self):
-        labels = np.array([0, 0, 1])
-        assert losses.triplet_counts(labels).tolist() == [[1, 1], [1, 1]]
-        a, p, n = losses.random_triplets(
-            labels, drawn_ranks(labels, np.random.default_rng(6)))
-        assert 2 not in a
-        assert a.size == 2
+    def test_extreme_ranks(self):
+        # rank 0 and the last rank reach the first and last candidate
+        _, bounds = losses.episode_objective(losses.TRIPLET_KIND, 3, 3, 1)
+        low = objective_triplets(losses.TRIPLET_KIND, 3, 3,
+                                 np.zeros_like(bounds))
+        high = objective_triplets(losses.TRIPLET_KIND, 3, 3, bounds - 1)
+        assert low[1].tolist() == [1, 0, 0, 4, 3, 3, 7, 6, 6]
+        assert low[2].tolist() == [3, 3, 3, 0, 0, 0, 0, 0, 0]
+        assert high[1].tolist() == [2, 2, 1, 5, 5, 4, 8, 8, 7]
+        assert high[2].tolist() == [8, 8, 8, 8, 8, 8, 5, 5, 5]
 
 
 class TestEpisodeLoss:
@@ -406,36 +432,53 @@ class TestEpisodeLoss:
     def test_dispatch_shapes(self):
         rng = np.random.default_rng(7)
         emb = rng.normal(size=(12, 5))
-        labels, support = episodes.episode_layout(3, 4, 1)
         for kind in losses.LOSS_KINDS:
-            cfg = losses.LossConfig(kind=kind)
-            loss, grad = losses.episode_loss(emb, labels, support, cfg,
-                                             ranks=drawn_ranks(labels, rng))
+            fn, bounds = losses.episode_objective(kind, 3, 4, 1)
+            loss, grad = fn(emb, rng.integers(0, bounds))
             assert np.isfinite(loss)
             assert grad.shape == emb.shape
 
     def test_prototype_reads_support_from_layout(self):
         rng = np.random.default_rng(9)
         emb = rng.normal(size=(12, 5))
-        labels, support = episodes.episode_layout(3, 4, 2)
-        loss, grad = losses.episode_loss(
-            emb, labels, support,
-            losses.LossConfig(kind=losses.PROTOTYPE_KIND))
-        expected_loss, expected_grad = losses.prototype_loss(emb, labels,
-                                                             support)
+        fn, bounds = losses.episode_objective(losses.PROTOTYPE_KIND, 3, 4, 2)
+        assert bounds == ()
+        loss, grad = fn(emb, np.empty(0, dtype=np.int64))
+        expected_loss, expected_grad = losses.prototype_loss(
+            emb, *episodes.episode_layout(3, 4, 2))
         assert loss == expected_loss and np.array_equal(grad, expected_grad)
-
-    def test_random_kinds_need_ranks(self):
-        with pytest.raises(ContractViolationError):
-            losses.episode_loss(np.zeros((12, 3)),
-                                *episodes.episode_layout(3, 4, 1),
-                                losses.LossConfig(kind=losses.TRIPLET_KIND))
 
     def test_hard_triplet_deterministic_without_rng(self):
         rng = np.random.default_rng(8)
         emb = rng.normal(size=(12, 5))
-        cfg = losses.LossConfig(kind=losses.HARD_TRIPLET_KIND)
-        labels, support = episodes.episode_layout(3, 4, 1)
-        l1, g1 = losses.episode_loss(emb, labels, support, cfg)
-        l2, g2 = losses.episode_loss(emb, labels, support, cfg)
+        fn, bounds = losses.episode_objective(losses.HARD_TRIPLET_KIND, 3, 4,
+                                              1)
+        assert bounds == ()
+        l1, g1 = fn(emb, ())
+        l2, g2 = fn(emb, ())
         assert l1 == l2 and np.array_equal(g1, g2)
+
+    @pytest.mark.parametrize("kind", losses.LOSS_KINDS)
+    def test_single_class_raises(self, kind):
+        with pytest.raises(ContractViolationError, match="2 classes"):
+            losses.episode_objective(kind, 1, 4, 1)
+
+    def test_calls_module_losses_each_episode(self, monkeypatch):
+        # perfbench counts prototype losses and mined anchors by replacing
+        # these module attributes before training: an objective that
+        # reached the functions through a name bound at import would
+        # leave those counts at 0 without any error
+        calls = []
+        for name in ("mine_hard_triplets", "prototype_loss"):
+            def counted(*args, real=getattr(losses, name), name=name):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(losses, name, counted)
+        rng = np.random.default_rng(10)
+        for kind, name in ((losses.HARD_TRIPLET_KIND, "mine_hard_triplets"),
+                           (losses.PROTOTYPE_KIND, "prototype_loss")):
+            calls.clear()
+            fn, bounds = losses.episode_objective(kind, 3, 4, 1)
+            for _ in range(3):
+                fn(rng.normal(size=(12, 5)), ())
+            assert calls == [name] * 3
