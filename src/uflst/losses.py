@@ -37,43 +37,53 @@ def prototype_loss(emb, labels, support_mask):
     """Mean negative-log softmax over prototype distances.
 
     Prototypes are per-class means of support embeddings; gradients flow
-    to queries and, through the means, to support points.
+    to queries and, through the means, to support points.  The distances
+    d_qk = |z_q - c_k|^2 come from `metric.sq_distances`, and with
+    w_qk = [k == y_q] - p_qk the gradients are two GEMMs over the (Q, D)
+    queries Z and the (K, D) prototypes C:
+
+        dL/dZ = 2/Q (rowsum(w) Z - w C)
+        dL/dC = -2/Q (w^T Z - colsum(w) C), split evenly over supports.
+
+    `sq_distances` expands |a|^2 + |b|^2 - 2 a.b, so the absolute error of
+    the loss and gradient scales with max|emb|^2.
     """
     emb = np.asarray(emb, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     support_mask = np.asarray(support_mask, dtype=bool)
-    if np.unique(labels).size < 2:
+    classes, of_row = np.unique(labels, return_inverse=True)
+    if classes.size < 2:
         raise ContractViolationError("prototype loss needs at least 2 classes")
     query_idx = np.flatnonzero(~support_mask)
     if query_idx.size == 0:
         raise ContractViolationError("no query points")
-    class_list, of_support, counts, protos = metric.class_means(
-        emb[support_mask], labels[support_mask])
-    unsupported = np.setdiff1d(labels[query_idx], class_list)
+    of_support = of_row[support_mask]
+    counts = np.bincount(of_support, minlength=classes.size)
+    unsupported = classes[counts == 0]    # classes whose rows are all queries
     if unsupported.size:
         raise ContractViolationError(
             f"query class {unsupported[0]} has no support examples"
         )
+    if not np.all(np.isfinite(emb)):
+        raise InputError("prototype embeddings contain non-finite values")
 
-    zq = emb[query_idx]                       # (Q, D)
-    diff = zq[:, None, :] - protos[None, :, :]  # (Q, K, D)
-    d = np.sum(diff * diff, axis=2)           # (Q, K)
-    logits = -d
+    sums = np.zeros((classes.size, emb.shape[1]))
+    np.add.at(sums, of_support, emb[support_mask])
+    protos = sums / counts[:, None]                     # (K, D)
+    zq = emb[query_idx]                                 # (Q, D)
+    logits = -metric.sq_distances(zq, protos)           # (Q, K)
     shift = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.sum(np.exp(shift), axis=1)) + logits.max(axis=1)
-    target = np.searchsorted(class_list, labels[query_idx])
-    loss = float(np.mean(lse - logits[np.arange(zq.shape[0]), target]))
+    rows, target = np.arange(query_idx.size), of_row[query_idx]
+    loss = float(np.mean(lse - logits[rows, target]))
 
-    p = np.exp(logits - lse[:, None])
-    w = -p
-    w[np.arange(zq.shape[0]), target] += 1.0   # w_qk = [k == y_q] - p_qk
-    n_q = zq.shape[0]
+    w = -np.exp(logits - lse[:, None])
+    w[rows, target] += 1.0
+    scale = 2.0 / query_idx.size
     grad = np.zeros_like(emb)
-    # dL/dz_q = (2/Q) sum_k w_qk (z_q - c_k)
-    grad[query_idx] += 2.0 / n_q * np.einsum("qk,qkd->qd", w, diff)
-    # dL/dc_k = -(2/Q) sum_q w_qk (z_q - c_k), split evenly over supports
-    grad_c = -2.0 / n_q * np.einsum("qk,qkd->kd", w, diff)
-    grad[support_mask] += (grad_c / counts[:, None])[of_support]
+    grad[query_idx] = scale * (w.sum(axis=1)[:, None] * zq - w @ protos)
+    grad_c = -scale * (w.T @ zq - w.sum(axis=0)[:, None] * protos)
+    grad[support_mask] = (grad_c / counts[:, None])[of_support]
     return loss, grad
 
 

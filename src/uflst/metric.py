@@ -49,7 +49,9 @@ class JaccardMatrix:
 def sq_distances(a, b):
     """Squared Euclidean distance between every row of `a` and every row of
     `b`, clamped at 0 against cancellation.  Stacked (..., rows, D) inputs
-    give each stack entry the bits of its own 2-D call."""
+    give each stack entry the bits of its own 2-D call.  The one distance
+    helper: re-ranking, few-shot eval, hard mining and the prototype
+    training loss all call it."""
     dist = (np.sum(a * a, axis=-1)[..., :, None]
             + np.sum(b * b, axis=-1)[..., None, :]
             - 2.0 * (a @ np.swapaxes(b, -1, -2)))
