@@ -168,16 +168,16 @@ def _gradcheck_loss(kind, emb0, labels, support_mask):
     """
     if kind == "prototype":
         return lambda emb: losses.prototype_loss(emb, labels, support_mask)
-    a, p, n, _ = losses.mine_hard_triplets(emb0, labels)
+    _, p, n, _ = losses.mine_hard_triplets(emb0, labels)
     if kind == "triplet_hinge":
-        _, _, pre = losses.triplet_pre_activation(emb0[a], emb0[p], emb0[n],
+        _, _, pre = losses.triplet_pre_activation(emb0, emb0[p], emb0[n],
                                                   losses.TRIPLET_MARGIN)
         if np.any(np.abs(pre) < 1e-1):
             return None
         fn = losses.triplet_hinge_loss
     else:
         fn = losses.triplet_soft_margin_loss
-    return lambda emb: losses.indexed_triplet_loss(fn, emb, a, p, n)
+    return lambda emb: losses.indexed_triplet_loss(fn, emb, p, n)
 
 
 GRADCHECK_TOL = 1e-4   # a loss passes when its worst relative error is below

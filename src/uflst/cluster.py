@@ -14,6 +14,7 @@ import numpy as np
 from . import metric
 from .errors import (
     ConfigError,
+    ContractViolationError,
     DegenerateGeometryWarning,
     EmptyClusteringError,
 )
@@ -78,6 +79,8 @@ def select_epsilon(values, p):
 
     `values` is a dense matrix or a JaccardMatrix.
     """
+    if p < 1:
+        raise ContractViolationError(f"epsilon needs p >= 1 pairs, got p={p}")
     n, _, _, dist = _pairs(values)
     if n < 2:
         raise EmptyClusteringError("need at least two points to select epsilon")

@@ -3,9 +3,9 @@
 An episode samples n_c pseudo-classes and n_e examples per class and is
 held as one (n_c, n_e) array of dataset indices; in prototype mode the
 first n_s columns are the support and the other n_q the query.  Training
-embeds the flattened block; evaluation embeds the rows a round's blocks
-touch once and gathers each block from them.  Both read a block's rows
-through `episode_layout`.
+embeds the flattened block and reads its rows through `episode_layout`;
+evaluation embeds the rows a round's blocks touch once, gathers each
+block from them and reads it by its shape alone.
 
 An episode draws n_c distinct classes uniformly, then n_e distinct members
 of each in random order, then the ranks of its random triplets, if any.

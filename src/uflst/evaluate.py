@@ -55,15 +55,19 @@ def nmi(a, b):
     return float(mi / math.sqrt(ha * hb))
 
 
-def nearest_prototype_predict(support_emb, support_labels, query_emb):
-    """Classify each query to the class whose support mean is closest.
-
-    Stacked (..., rows, D) support and query embeddings, under the one
-    row labelling `support_labels`, predict each stack entry as its own
-    2-D call would.
-    """
-    classes, _, _, protos = metric.class_means(support_emb, support_labels)
-    return classes[np.argmin(metric.sq_distances(query_emb, protos), axis=-1)]
+def nearest_prototype_predict(blocks, n_s):
+    """The nearest class of each query in stacked (..., n_c, n_e, D)
+    episode blocks, shape (..., n_c, n_e - n_s): row c is class c, its
+    first n_s columns the support.  The support is added to 0 column by
+    column, not pairwise as a width-1 `np.mean` would, so each prototype
+    has the bits of its class's row-order mean."""
+    protos = 0.0
+    for j in range(n_s):
+        protos = protos + blocks[..., j, :]
+    *lead, n_c, n_e, dim = blocks.shape
+    query = blocks[..., n_s:, :].reshape(*lead, n_c * (n_e - n_s), dim)
+    nearest = np.argmin(metric.sq_distances(query, protos / n_s), axis=-1)
+    return nearest.reshape(*lead, n_c, n_e - n_s)
 
 
 def eval_members(params, features, labels, protocol):
@@ -90,16 +94,13 @@ def few_shot_accuracy(params, features, labels, protocol, n_episodes, rng):
     The encoder embeds the rows the blocks touch once, so a non-finite row
     raises only when some episode draws it.  The episodes are then scored
     `episodes.CHUNK` at a time in one stacked `nearest_prototype_predict`
-    call: each query goes to the nearest prototype of the support rows
-    that `episodes.episode_layout` marks.
+    call: a query in block row c is right when its nearest class is c.
     """
     if n_episodes < 1:
         raise ConfigError(f"episodes must be >= 1, got {n_episodes}")
     features = np.asarray(features, dtype=np.float64)
     members = eval_members(params, features, labels, protocol)
     way, per_class = protocol.n_c_test, protocol.n_s + protocol.n_q
-    classes, support = episodes.episode_layout(way, per_class, protocol.n_s)
-    query = ~support
     blocks, _ = episodes.sample_episodes(members, way, per_class, n_episodes,
                                          rng)
     drawn = np.zeros(len(features), dtype=bool)
@@ -108,12 +109,10 @@ def few_shot_accuracy(params, features, labels, protocol, n_episodes, rng):
     at = np.cumsum(drawn) - 1   # each drawn row's position in `emb`
     accs = np.empty(n_episodes)
     for start in range(0, n_episodes, episodes.CHUNK):
-        ids = at[blocks[start:start + episodes.CHUNK]]
-        chunk = emb[ids.reshape(len(ids), way * per_class)]
-        pred = nearest_prototype_predict(chunk[:, support], classes[support],
-                                         chunk[:, query])
-        accs[start:start + len(chunk)] = np.mean(pred == classes[query],
-                                                 axis=1)
+        pred = nearest_prototype_predict(
+            emb[at[blocks[start:start + episodes.CHUNK]]], protocol.n_s)
+        accs[start:start + len(pred)] = np.mean(
+            pred == np.arange(way)[:, None], axis=(1, 2))
     return float(np.mean(accs)), float(np.std(accs))
 
 

@@ -168,8 +168,8 @@ def episode_objective(kind, n_c, n_e, n_s):
     `fn(emb, ranks)` gives (loss, grad) for one block, `ranks` holding one
     draw in [0, b) per bound b (`episodes.sample_episodes`).  Row
     c * n_e + j is member j of class c, its first n_s columns the support.
-    The random triplet kinds make every row an anchor (n_e >= 2), whose
-    (positive, negative) ranks pick among its candidates in ascending
+    The triplet kinds make every row an anchor (n_e >= 2); the random
+    kinds' (positive, negative) ranks pick among its candidates in ascending
     index order; the other kinds read no ranks and reach `prototype_loss`
     and `mine_hard_triplets` through this module's globals per episode.
     """
@@ -178,12 +178,14 @@ def episode_objective(kind, n_c, n_e, n_s):
     labels, support = episodes.episode_layout(n_c, n_e, n_s)
     if kind == PROTOTYPE_KIND:
         return (lambda emb, ranks: prototype_loss(emb, labels, support)), ()
+    if n_e < 2:
+        raise ContractViolationError(f"triplets need n_e >= 2, got {n_e}")
     fn = (triplet_soft_margin_loss if kind == SOFT_MARGIN_KIND
           else triplet_hinge_loss)
     if kind == HARD_TRIPLET_KIND:
         def hard(emb, ranks):
-            a, p, n, _ = mine_hard_triplets(emb, labels)
-            return indexed_triplet_loss(fn, emb, a, p, n)
+            _, p, n, _ = mine_hard_triplets(emb, labels)
+            return indexed_triplet_loss(fn, emb, p, n)
         return hard, ()
 
     # an anchor's positives are its class's other rows and its negatives
@@ -195,18 +197,18 @@ def episode_objective(kind, n_c, n_e, n_s):
 
     def drawn(emb, ranks):
         p, q = ranks[:, 0], ranks[:, 1]
-        return indexed_triplet_loss(fn, emb, anchors, first + p + (p >= j),
+        return indexed_triplet_loss(fn, emb, first + p + (p >= j),
                                     q + n_e * (q >= first))
     return drawn, np.full((n_c * n_e, 2), [n_e - 1, (n_c - 1) * n_e],
                           dtype=np.int64)
 
 
-def indexed_triplet_loss(fn, emb, a, p, n):
-    """A triplet loss `fn` at TRIPLET_MARGIN over index triplets into `emb`,
-    with the per-role gradients scattered back onto the rows of `emb`."""
-    loss, (ga, gp, gn) = fn(emb[a], emb[p], emb[n], TRIPLET_MARGIN)
-    grad = np.zeros_like(emb)
-    np.add.at(grad, a, ga)
+def indexed_triplet_loss(fn, emb, p, n):
+    """A triplet loss `fn` at TRIPLET_MARGIN over the triplets (i, p[i],
+    n[i]) of each row i of `emb`, with the gradients scattered onto its
+    rows; `+ 0.0` makes an anchor's -0.0 the +0.0 of adding into zeros."""
+    loss, (ga, gp, gn) = fn(emb, emb[p], emb[n], TRIPLET_MARGIN)
+    grad = ga + 0.0
     np.add.at(grad, p, gp)
     np.add.at(grad, n, gn)
     return loss, grad

@@ -59,20 +59,6 @@ def sq_distances(a, b):
     return dist
 
 
-def class_means(points, labels):
-    """(classes, of_row, counts, means): the sorted distinct labels, each
-    row's class position, and each class's row count and mean row.  Rows
-    are added to 0 in row order, as `np.mean(axis=0)` adds them at any
-    width but 1 (there it sums pairwise), so the means carry its bits.
-    Stacked (..., rows, D) points share the one row labelling and give
-    (..., classes, D) means, each with the bits of its own 2-D call."""
-    classes, of_row, counts = np.unique(labels, return_inverse=True,
-                                        return_counts=True)
-    sums = np.zeros((*points.shape[:-2], classes.size, points.shape[-1]))
-    np.add.at(sums, (Ellipsis, of_row, slice(None)), points)
-    return classes, of_row, counts, sums / counts[:, None]
-
-
 def label_groups(labels):
     """The row indices of each distinct label, labels in ascending order and
     rows ascending within each: `[np.flatnonzero(labels == c) for c in

@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uflst import cluster, metric
-from uflst.errors import DegenerateGeometryWarning, EmptyClusteringError
+from uflst.errors import (
+    ContractViolationError,
+    DegenerateGeometryWarning,
+    EmptyClusteringError,
+)
 
 from test_metric import point_sets, sparse_jaccard
 
@@ -134,6 +138,17 @@ class TestEpsilon:
         values = np.zeros((4, 4))
         with pytest.warns(DegenerateGeometryWarning):
             assert cluster.select_epsilon(values, 2) == 0.0
+
+    @pytest.mark.parametrize("p", [0, -3])
+    def test_empty_pool_rejected(self, p):
+        # a pool of no pairs has no mean: numpy would give NaN and two
+        # RuntimeWarnings
+        jm = metric.build_jaccard(
+            np.random.default_rng(0).normal(size=(30, 3)), 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolationError, match=f"p={p}"):
+                cluster.select_epsilon(jm, p)
 
     def test_resolve_p(self):
         cfg = cluster.DbscanConfig(p_fraction=0.1)

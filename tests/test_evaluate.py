@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -77,7 +78,8 @@ class TestNmi:
 
 def reference_nearest_prototype_predict(support_emb, support_labels,
                                         query_emb):
-    """The per-class loop that `metric.class_means` replaced."""
+    """The per-class loop over a label array that the block prototypes
+    replaced."""
     classes = np.unique(support_labels)
     protos = np.stack([
         support_emb[support_labels == c].mean(axis=0) for c in classes
@@ -104,55 +106,87 @@ def reference_few_shot_accuracy(params, features, labels, protocol,
     return float(np.mean(accs)), float(np.std(accs))
 
 
+def reference_class_means(points, labels):
+    """Per-class means with each class's rows added to 0 in row order:
+    the formula of the `class_means` helper that the block prototypes
+    replaced, stacked over the leading axes."""
+    classes, of_row, counts = np.unique(labels, return_inverse=True,
+                                        return_counts=True)
+    sums = np.zeros((*points.shape[:-2], classes.size, points.shape[-1]))
+    np.add.at(sums, (Ellipsis, of_row, slice(None)), points)
+    return sums / counts[:, None]
+
+
+def split_blocks(blocks, n_s):
+    """(support rows, their class positions, query rows) of one (n_c, n_e, D)
+    block, as the label-array oracles read them."""
+    n_c, _, dim = blocks.shape
+    return (blocks[:, :n_s].reshape(-1, dim), np.repeat(np.arange(n_c), n_s),
+            blocks[:, n_s:].reshape(-1, dim))
+
+
 class TestNearestPrototype:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(1, 7))
     def test_matches_reference(self, seed, dim, shot):
         rng = np.random.default_rng(seed)
-        way = int(rng.integers(2, 8))
-        labels = np.repeat(rng.choice(50, size=way, replace=False), shot)
-        sup = np.round(rng.normal(size=(labels.size, dim)) * 3.0)
-        qry = rng.normal(size=(10, dim)) * 3.0
+        way, n_q = int(rng.integers(2, 8)), int(rng.integers(1, 4))
+        sup = np.round(rng.normal(size=(way, shot, dim)) * 3.0)
+        qry = rng.normal(size=(way, n_q, dim)) * 3.0
+        blocks = np.concatenate([sup, qry], axis=1)
+        pred = evaluate.nearest_prototype_predict(blocks, shot)
+        assert pred.shape == (way, n_q)
         assert np.array_equal(
-            evaluate.nearest_prototype_predict(sup, labels, qry),
-            reference_nearest_prototype_predict(sup, labels, qry))
+            pred.ravel(),
+            reference_nearest_prototype_predict(*split_blocks(blocks, shot)))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(1, 4),
            st.integers(1, 9))
     def test_stacked_matches_each_episode(self, seed, way, shot, count):
         rng = np.random.default_rng(seed)
-        labels = rng.permutation(
-            np.repeat(rng.choice(50, size=way, replace=False), shot))
-        sup = rng.normal(size=(count, labels.size, 5))
-        qry = rng.normal(size=(count, 7, 5))
-        _, _, _, protos = metric.class_means(sup, labels)
-        dist = metric.sq_distances(qry, protos)
-        pred = evaluate.nearest_prototype_predict(sup, labels, qry)
-        assert pred.shape == (count, 7)
+        blocks = rng.normal(size=(count, way, shot + 3, 5))
+        pred = evaluate.nearest_prototype_predict(blocks, shot)
+        assert pred.shape == (count, way, 3)
         for e in range(count):
-            assert np.array_equal(protos[e],
-                                  metric.class_means(sup[e], labels)[3])
-            assert np.array_equal(dist[e],
-                                  metric.sq_distances(qry[e], protos[e]))
             assert np.array_equal(
-                pred[e], evaluate.nearest_prototype_predict(sup[e], labels,
-                                                            qry[e]))
+                pred[e], evaluate.nearest_prototype_predict(blocks[e], shot))
 
     def test_separable(self):
-        sup = np.array([[0.0, 0.0], [10.0, 0.0]])
-        sup_lab = np.array([3, 7])
-        qry = np.array([[1.0, 0.0], [9.0, 0.0], [-5.0, 0.0]])
-        pred = evaluate.nearest_prototype_predict(sup, sup_lab, qry)
-        assert np.array_equal(pred, [3, 7, 3])
+        # row 0: support at 0, queries at 1 and -5; row 1: support at 10,
+        # queries at 9 and 11
+        blocks = np.array([[[0.0, 0.0], [1.0, 0.0], [-5.0, 0.0]],
+                           [[10.0, 0.0], [9.0, 0.0], [11.0, 0.0]]])
+        pred = evaluate.nearest_prototype_predict(blocks, 1)
+        assert pred.tolist() == [[0, 0], [1, 1]]
 
     def test_multi_shot_mean(self):
-        # class 0 supports at -1 and 3 (mean 1), class 1 support at 4
-        sup = np.array([[-1.0], [3.0], [4.0]])
-        sup_lab = np.array([0, 0, 1])
-        pred = evaluate.nearest_prototype_predict(sup, sup_lab,
-                                                  np.array([[2.0]]))
-        assert pred[0] == 0  # |2-1| < |2-4|
+        # class 0 supports at -1 and 3 (mean 1), class 1 supports at 4
+        blocks = np.array([[[-1.0], [3.0], [2.0]],
+                           [[4.0], [4.0], [5.0]]])
+        pred = evaluate.nearest_prototype_predict(blocks, 2)
+        assert pred.tolist() == [[0], [1]]  # |2-1| < |2-4|
+
+    @pytest.mark.parametrize("dim", [1, 2, 16])
+    @pytest.mark.parametrize("shot", [1, 2, 8, 9, 12])
+    def test_prototypes_carry_class_mean_bits(self, dim, shot):
+        # the support columns are added to 0 in column order: a reduction
+        # over the column axis sums pairwise at width 1 and keeps a lone
+        # -0.0, so its bits differ
+        rng = np.random.default_rng([dim, shot])
+        count, way = 40, 5
+        blocks = (rng.normal(size=(count, way, shot + 2, dim))
+                  * 10.0 ** rng.uniform(-3, 3, size=(count, way, 1, 1)))
+        blocks[:, 0, :shot] = -0.0
+        blocks[:, 1, 0] = -0.0
+        with mock.patch.object(metric, "sq_distances",
+                               wraps=metric.sq_distances) as spy:
+            evaluate.nearest_prototype_predict(blocks, shot)
+        protos = spy.call_args.args[1]
+        sup = blocks[:, :, :shot].reshape(count, way * shot, dim)
+        expected = reference_class_means(sup, np.repeat(np.arange(way), shot))
+        assert protos.shape == expected.shape
+        assert protos.tobytes() == expected.tobytes()
 
 
 class TestFewShotAccuracy:

@@ -385,12 +385,13 @@ def random_blocks(draw):
 
 def objective_triplets(kind, n_c, n_e, ranks):
     """The (anchor, positive, negative) rows that the `kind` objective of
-    an (n_c, n_e) block scores for one episode's ranks."""
+    an (n_c, n_e) block scores for one episode's ranks: every row is its
+    own anchor."""
     fn, _ = losses.episode_objective(kind, n_c, n_e, 1)
     with mock.patch.object(losses, "indexed_triplet_loss",
                            wraps=losses.indexed_triplet_loss) as spy:
         fn(np.zeros((n_c * n_e, 1)), ranks)
-    return spy.call_args.args[2:]
+    return (np.arange(n_c * n_e), *spy.call_args.args[2:])
 
 
 def assert_same_triplets(n_c, n_e, batch_rng, loop_rng):
@@ -455,6 +456,51 @@ class TestRandomTriplets:
         assert high[2].tolist() == [8, 8, 8, 8, 8, 8, 5, 5, 5]
 
 
+def reference_indexed_triplet_loss(fn, emb, p, n):
+    """Row i anchors triplet i, with each role's gradient scattered by its
+    own `np.add.at` into zeros."""
+    a = np.arange(len(emb))
+    loss, (ga, gp, gn) = fn(emb[a], emb[p], emb[n], losses.TRIPLET_MARGIN)
+    grad = np.zeros_like(emb)
+    np.add.at(grad, a, ga)
+    np.add.at(grad, p, gp)
+    np.add.at(grad, n, gn)
+    return loss, grad
+
+
+class TestIndexedTripletLoss:
+    @pytest.mark.parametrize("fn", [losses.triplet_hinge_loss,
+                                    losses.triplet_soft_margin_loss])
+    @pytest.mark.parametrize("kind", [losses.HARD_TRIPLET_KIND,
+                                      losses.TRIPLET_KIND])
+    def test_bits_of_scatter_into_zeros(self, fn, kind):
+        # class centres spread about the noise's scale mix active and
+        # inactive hinges; an inactive one gives signed zeros, and -0.0
+        # must become +0.0 wherever no positive or negative gradient
+        # lands on the row
+        rng = np.random.default_rng(12)
+        n_c, n_e = 6, 4
+        labels = episodes.episode_layout(n_c, n_e, 1)[0]
+        _, bounds = losses.episode_objective(losses.TRIPLET_KIND, n_c, n_e, 1)
+        pre = []
+        for _ in range(30):
+            emb = (rng.normal(size=(n_c, 3))[labels] * rng.choice([1.0, 3.0])
+                   + rng.normal(size=(n_c * n_e, 3)) * 0.5)
+            if kind == losses.HARD_TRIPLET_KIND:
+                _, p, n, _ = losses.mine_hard_triplets(emb, labels)
+            else:
+                _, p, n = objective_triplets(kind, n_c, n_e,
+                                             rng.integers(0, bounds))
+            loss, grad = losses.indexed_triplet_loss(fn, emb, p, n)
+            want_loss, want_grad = reference_indexed_triplet_loss(fn, emb, p, n)
+            assert loss == want_loss
+            assert grad.tobytes() == want_grad.tobytes()
+            pre.append(losses.triplet_pre_activation(
+                emb, emb[p], emb[n], losses.TRIPLET_MARGIN)[2])
+        pre = np.concatenate(pre)
+        assert np.any(pre > 0) and np.any(pre < 0)
+
+
 class TestEpisodeLoss:
     def test_episode_labels(self):
         labels, support = episodes.episode_layout(3, 2, 1)
@@ -494,6 +540,14 @@ class TestEpisodeLoss:
     def test_single_class_raises(self, kind):
         with pytest.raises(ContractViolationError, match="2 classes"):
             losses.episode_objective(kind, 1, 4, 1)
+
+    @pytest.mark.parametrize("kind", [losses.TRIPLET_KIND,
+                                      losses.SOFT_MARGIN_KIND,
+                                      losses.HARD_TRIPLET_KIND])
+    def test_triplets_need_two_members_per_class(self, kind):
+        # every row anchors a triplet, so each needs a same-class partner
+        with pytest.raises(ContractViolationError, match="n_e >= 2"):
+            losses.episode_objective(kind, 4, 1, 1)
 
     def test_calls_module_losses_each_episode(self, monkeypatch):
         # perfbench counts prototype losses and mined anchors by replacing

@@ -77,19 +77,6 @@ class TestDistances:
             metric.pairwise_sq_euclidean(np.array([[0.0, np.inf]]))
 
 
-class TestClassMeans:
-    def test_bits_of_per_class_mean(self):
-        # np.mean adds to +0.0: a column of -0.0 averages to +0.0
-        points = np.array([[-0.0, 1.0], [3.0, -0.0], [-0.0, 2.5]])
-        labels = np.array([5, 2, 5])
-        classes, of_row, counts, means = metric.class_means(points, labels)
-        assert classes.tolist() == [2, 5] and of_row.tolist() == [1, 0, 1]
-        assert counts.tolist() == [1, 2]
-        expected = np.stack([points[labels == c].mean(axis=0)
-                             for c in classes])
-        assert means.tobytes() == expected.tobytes()
-
-
 class TestLabelGroups:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(-5, 40), max_size=60))
