@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from uflst import cluster, episodes, losses
-from uflst.errors import EpisodeInfeasibleError
+from uflst.errors import ContractViolationError, EpisodeInfeasibleError
 
 
 def make_pl(class_sizes):
@@ -19,6 +19,11 @@ def make_pl(class_sizes):
         num_clusters=len(class_sizes),
         outlier_indices=np.empty(0, dtype=np.int64),
     )
+
+
+def one_episode(members, n_c, n_e, rng):
+    """One (n_c, n_e) block, drawn as a batch of one."""
+    return episodes.sample_episodes(members, n_c, n_e, 1, rng)[0][0]
 
 
 def reference_sample_episode(members, n_c, n_e, rng):
@@ -114,16 +119,16 @@ class TestFeasibility:
         members = episodes.eligible_members(pl.class_members, 4)
         assert [m.tolist() for m in members] == [
             pl.class_members[c].tolist() for c in (0, 2, 4)]
-        episodes.sample_episode(members, 3, 4, np.random.default_rng(0))
+        one_episode(members, 3, 4, np.random.default_rng(0))
         with pytest.raises(EpisodeInfeasibleError):
-            episodes.sample_episode(members, 4, 4, np.random.default_rng(0))
+            one_episode(members, 4, 4, np.random.default_rng(0))
 
 
 class TestSampling:
     def test_shapes_and_membership(self):
         pl = make_pl([6, 6, 6, 6, 6])
         rng = np.random.default_rng(0)
-        block = episodes.sample_episode(pl.class_members, 3, 4, rng)
+        block = one_episode(pl.class_members, 3, 4, rng)
         assert block.shape == (3, 4)
         classes = pl.labels[block]
         # each row is one class, and no class or example repeats
@@ -135,29 +140,25 @@ class TestSampling:
         pl = make_pl([4, 3])
         members = episodes.eligible_members(pl.class_members, 4)
         with pytest.raises(EpisodeInfeasibleError):
-            episodes.sample_episode(members, 2, 4, np.random.default_rng(0))
+            one_episode(members, 2, 4, np.random.default_rng(0))
 
     def test_deterministic_for_rng_state(self):
         pl = make_pl([8] * 10)
-        a = episodes.sample_episode(pl.class_members, 4, 4,
-                                    np.random.default_rng(7))
-        b = episodes.sample_episode(pl.class_members, 4, 4,
-                                    np.random.default_rng(7))
+        a = one_episode(pl.class_members, 4, 4, np.random.default_rng(7))
+        b = one_episode(pl.class_members, 4, 4, np.random.default_rng(7))
         assert np.array_equal(a, b)
 
     def test_way_override(self):
         # the training way may be narrower than n_c_train
         pl = make_pl([8] * 10)
-        block = episodes.sample_episode(pl.class_members, 5, 4,
-                                        np.random.default_rng(1))
+        block = one_episode(pl.class_members, 5, 4, np.random.default_rng(1))
         assert block.shape == (5, 4)
 
     def test_matches_class_then_member_draws(self):
         # classes first, then each class's members, from one rng: the
         # draw order that training and evaluation rely on
         pl = make_pl([8] * 6)
-        block = episodes.sample_episode(pl.class_members, 3, 4,
-                                        np.random.default_rng(2))
+        block = one_episode(pl.class_members, 3, 4, np.random.default_rng(2))
         rng = np.random.default_rng(2)
         chosen = rng.choice(6, size=3, replace=False)
         for c, row in zip(chosen, block):
@@ -166,8 +167,8 @@ class TestSampling:
 
     def test_prototype_mode_splits(self):
         # support is the first n_s columns of each row
-        block = episodes.sample_episode(make_pl([8] * 6).class_members, 3, 4,
-                                        np.random.default_rng(3))
+        block = one_episode(make_pl([8] * 6).class_members, 3, 4,
+                            np.random.default_rng(3))
         labels, support = episodes.episode_layout(3, 4, 1)
         assert np.array_equal(block.ravel()[support], block[:, 0])
         assert np.array_equal(labels, np.repeat(np.arange(3), 4))
@@ -178,7 +179,7 @@ class TestSampling:
         rng = np.random.default_rng(4)
         seen = set()
         for _ in range(200):
-            block = episodes.sample_episode(pl.class_members, 3, 4, rng)
+            block = one_episode(pl.class_members, 3, 4, rng)
             seen.update(pl.labels[block[:, 0]].tolist())
         assert seen == set(range(10))
 
@@ -215,7 +216,7 @@ class TestBatchMatchesLoop:
 
 class TestOneSampler:
     def test_batch_equals_single_calls(self):
-        # a batch past one chunk draws what one `sample_episode` call per
+        # a batch past one chunk draws what one single-episode batch per
         # episode draws, and leaves the generator where they leave it; the
         # class of exactly n_e members varies how many outputs an episode
         # takes
@@ -224,7 +225,7 @@ class TestOneSampler:
         count = episodes.CHUNK + 5
         blocks, ranks = episodes.sample_episodes(members, 3, 4, count,
                                                  batch_rng)
-        singles = [episodes.sample_episode(members, 3, 4, single_rng)
+        singles = [one_episode(members, 3, 4, single_rng)
                    for _ in range(count)]
         assert np.array_equal(blocks, np.stack(singles))
         assert ranks.shape == (count, 0)
@@ -235,8 +236,8 @@ class TestOneSampler:
         # sampler keeps its multiply-shift value: a valid block, the same
         # on every call
         members = np.split(np.arange(70), 7)
-        first = episodes.sample_episode(members, 3, 4, redraw_state())
-        again = episodes.sample_episode(members, 3, 4, redraw_state())
+        first = one_episode(members, 3, 4, redraw_state())
+        again = one_episode(members, 3, 4, redraw_state())
         assert np.array_equal(first, again)
         classes = first // 10
         assert np.all(classes == classes[:, :1])
@@ -249,6 +250,16 @@ class TestOneSampler:
                            match="class of 3 members < 4 examples"):
             episodes.sample_episodes(members, 2, 4, 10,
                                      np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", [0, -2])
+    def test_empty_rank_range_raises(self, bad):
+        # numpy's integers(0, b) rejects b < 1; so does the sampler, rather
+        # than return rank 0 or a value near 2**32
+        members = np.split(np.arange(12), 3)
+        with pytest.raises(ContractViolationError, match=f"got {bad}"):
+            episodes.sample_episodes(members, 2, 2, 3,
+                                     np.random.default_rng(0),
+                                     bounds=[3, bad, 1])
 
     def test_uniform_on_tiny_populations(self):
         # 3 classes of 3 members, 2-way, n_e = 2: an episode is an ordered
