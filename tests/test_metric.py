@@ -77,6 +77,28 @@ class TestDistances:
             metric.pairwise_sq_euclidean(np.array([[0.0, np.inf]]))
 
 
+class TestSqDistances:
+    @pytest.mark.parametrize("dim", [1, 16])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_bits_of_written_out_formula(self, dim, lead):
+        rng = np.random.default_rng(12)
+        a = rng.normal(size=(*lead, 40, dim)) * 10.0
+        b = rng.normal(size=(*lead, 30, dim)) * 10.0
+        # near-duplicates of rows of a, so the unclamped value can go
+        # below 0
+        b[..., :20, :] = a[..., :20, :] * (1.0 + 1e-12)
+        na, nb = np.sum(a * a, axis=-1), np.sum(b * b, axis=-1)
+        raw = ((na[..., :, None] + nb[..., None, :])
+               - 2.0 * (a @ np.swapaxes(b, -1, -2)))
+        assert np.any(raw < 0.0)
+        got = metric.sq_distances(a, b)
+        assert got.shape == raw.shape
+        assert got.tobytes() == np.maximum(raw, 0.0).tobytes()
+        out = np.full(raw.shape, np.nan)
+        assert metric.sq_distances(a, b, out) is out
+        assert out.tobytes() == got.tobytes()
+
+
 class TestLabelGroups:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(-5, 40), max_size=60))
@@ -114,6 +136,47 @@ class TestKnn:
         knn = metric.knn_sets(dist, 1)
         assert knn[0][0] == 1  # d(0,1) == d(0,2), index 1 wins
         assert knn[3][0] == 1  # d(3,1) == d(3,2), index 1 wins
+
+    @staticmethod
+    def assert_blocks_match_oracle(dist, k, step):
+        expected = oracle_knn(dist, k)
+        for start in range(0, len(dist), step):
+            block = metric.knn_sets(dist[start:start + step], k, start)
+            for row, got in enumerate(block):
+                assert np.array_equal(got, expected[start + row])
+
+    @pytest.mark.parametrize("points, ks", [
+        (np.random.default_rng(9).normal(size=(60, 4)), (1, 5, 12)),
+        # on a line the two neighbors at each distance tie inside the
+        # list, and k > 16 is past numpy's insertion-sort cutoff
+        (np.arange(60.0)[:, None], (20,)),
+    ])
+    def test_blocks_without_ties_at_kth_value(self, points, ks):
+        dist = metric.pairwise_sq_euclidean(points)
+        for k in ks:
+            kth = np.sort(dist, axis=1)[:, k]
+            assert np.all(np.sum(dist <= kth[:, None], axis=1) == k + 1)
+            self.assert_blocks_match_oracle(dist, k, 7)
+
+    def test_blocks_with_ties_at_kth_value(self):
+        points = np.random.default_rng(10).integers(
+            -2, 3, size=(60, 2)).astype(np.float64)
+        dist = metric.pairwise_sq_euclidean(points)
+        for k in (1, 4, 9):
+            kth = np.sort(dist, axis=1)[:, k]
+            assert np.any(np.sum(dist == kth[:, None], axis=1) > 1)
+            self.assert_blocks_match_oracle(dist, k, 7)
+
+    def test_self_entry_not_the_row_minimum(self):
+        # exactly k+1 entries per row at or below the k-th value, none of
+        # them self: the list keeps the k nearest of those k+1 others
+        points = np.random.default_rng(11).normal(size=(40, 3))
+        dist = metric.pairwise_sq_euclidean(points)
+        np.fill_diagonal(dist, 1e9)
+        for k in (1, 6):
+            kth = np.sort(dist, axis=1)[:, k]
+            assert np.all(np.sum(dist <= kth[:, None], axis=1) == k + 1)
+            self.assert_blocks_match_oracle(dist, k, 9)
 
     def test_k_clamped_with_warning(self):
         dist = oracle_distances(np.arange(4, dtype=float).reshape(-1, 1))
@@ -237,6 +300,16 @@ class TestSparseMatchesDense:
         # exactly the pairs below 1 are stored, once each, as i < j
         assert jm.dist.size == np.count_nonzero(np.triu(expected < 1.0, 1))
         assert np.all(jm.rows < jm.cols)
+
+    def test_block_size_keeps_edge_bits(self):
+        points = np.random.default_rng(13).normal(size=(2000, 16))
+        assert metric.BLOCK_ENTRIES // len(points) < len(points) // 4
+        small = metric.build_jaccard(points, 20)
+        with mock.patch.object(metric, "BLOCK_ENTRIES", 1 << 22):
+            one = metric.build_jaccard(points, 20)
+        for field in ("rows", "cols", "dist"):
+            assert (getattr(small, field).tobytes()
+                    == getattr(one, field).tobytes())
 
     def test_row_block_matches_full_matrix(self):
         rng = np.random.default_rng(8)
