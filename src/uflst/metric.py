@@ -26,9 +26,10 @@ from .errors import DegenerateGeometryWarning, InputError
 # Distance entries per row block in `build_jaccard` (4 MB of float64).  In
 # a sweep from 1 << 17 to 1 << 22 (random 16-d, k=20, one BLAS thread),
 # 1 << 18 to 1 << 20 were within noise of each other at N = 1k, 4k and
-# 16k; at 4k they beat 1 << 22 by 10-25%.  Below 16 rows a block gets
-# slow, since each block recomputes the N norms of its right operand: at
-# 32k, 1 << 18 (8 rows) took 17.6 s and 1 << 19 14.2 s.
+# 16k; at 4k they beat 1 << 22 by 10-25%.  Blocks below 16 rows were
+# slow when every block recomputed the N norms (at 32k, 1 << 18 took
+# 17.6 s and 1 << 19 14.2 s); with the norms taken once per build, small
+# blocks have not been measured again.
 BLOCK_ENTRIES = 1 << 19
 
 
@@ -55,20 +56,24 @@ class JaccardMatrix:
         return out
 
 
-def sq_distances(a, b, out=None):
+def sq_distances(a, b, out=None, b_norms=None):
     """Squared Euclidean distance between every row of `a` and every row of
     `b`, clamped at 0 against cancellation.  Stacked (..., rows, D) inputs
     give each stack entry the bits of its own 2-D call.  The one distance
     helper: re-ranking, few-shot eval, hard mining and the prototype
     training loss all call it.
 
-    The bits are those of `max((|a|^2 + |b|^2) - 2 (a b^T), 0)`.  `out`,
-    when given, receives them, so a caller looping over row blocks can
-    reuse one buffer."""
+    The bits are those of `max((|a|^2 + |b|^2) - 2 (a b^T), 0)`, with
+    |b|^2 read from `b_norms` when given, which must then be
+    `np.sum(b * b, axis=-1)`: a caller looping over row blocks of `a`
+    against one `b` takes them once.  `out`, when given, receives the
+    distances, so such a caller can reuse one buffer too."""
     dist = np.matmul(a, np.swapaxes(b, -1, -2), out=out)
     dist *= 2.0
+    if b_norms is None:
+        b_norms = np.sum(b * b, axis=-1)
     np.subtract(np.sum(a * a, axis=-1)[..., :, None]
-                + np.sum(b * b, axis=-1)[..., None, :], dist, out=dist)
+                + b_norms[..., None, :], dist, out=dist)
     np.maximum(dist, 0.0, out=dist)
     return dist
 
@@ -187,19 +192,21 @@ def build_jaccard(embeddings, k):
 
     Each block holds about BLOCK_ENTRIES squared distances in one buffer
     reused by every block, so memory stays O(N k^2 + block) however
-    large N grows: at N = 16k (random 16-d, k=20) this takes 2.6-2.8 s,
-    and with epsilon and DBSCAN the process peaks at 117 MB.  The block
-    size changes no output bit.
+    large N grows, and the N squared norms are taken once for all blocks:
+    at N = 16k (random 16-d, k=20) this takes 2.0-2.2 s, and with epsilon
+    and DBSCAN the process peaks at 117 MB.  The block size changes no
+    output bit.
     """
     emb = _check_finite(embeddings)
     n = emb.shape[0]
     step = max(1, BLOCK_ENTRIES // max(n, 1))
     buf = np.empty((min(step, n), n))
+    norms = np.sum(emb * emb, axis=-1)
     blocks = []
     coincide = n > 1
     for start in range(0, n, step):
         rows = emb[start:start + step]
-        dist = sq_distances(rows, emb, buf[:len(rows)])
+        dist = sq_distances(rows, emb, buf[:len(rows)], norms)
         local = np.arange(dist.shape[0])
         dist[local, start + local] = 0.0
         coincide = coincide and not dist.any()

@@ -3,10 +3,22 @@
 Everything is float64 and fully deterministic for a fixed seed.  The
 parameter container also carries the Adam state so that checkpoints
 capture the whole optimizer trajectory.
+
+`forward`, `backward` and `adam_step` write their layer outputs,
+gradients and temporaries into a `Workspace`: the one they are given, or
+a fresh one.  Training builds one workspace per round for the round's
+batch size and passes it to every step, so the steps of a round reuse one
+set of buffers; clustering, evaluation and the gradient check pass none,
+so what they get back is theirs to keep.  An array returned from a given
+workspace is valid until the next call of the same function on it: the
+embeddings and cache of `forward` until the next `forward`, the gradient
+of `backward` until the next `backward`.  Passing a workspace changes no
+output bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -47,12 +59,7 @@ class ModelParams:
 
     def views(self, buf):
         """Per-layer (weights, biases) views into a buffer of `flat`'s layout."""
-        weights, biases, end = [], [], 0
-        for d_in, d_out in zip(self.dims[:-1], self.dims[1:]):
-            start, end = end, end + d_out * (d_in + 1)
-            weights.append(buf[start:end - d_out].reshape(d_out, d_in))
-            biases.append(buf[end - d_out:end])
-        return tuple(weights), tuple(biases)
+        return _layer_views(self.dims, buf)
 
     @classmethod
     def zeros(cls, dims):
@@ -69,6 +76,63 @@ class ModelParams:
 def _flat_size(dims):
     """Floats in a buffer of `flat`'s layout for the layer widths `dims`."""
     return sum(d_out * (d_in + 1) for d_in, d_out in zip(dims[:-1], dims[1:]))
+
+
+def _layer_views(dims, buf):
+    """Per-layer (weights, biases) views into a buffer of `flat`'s layout
+    for the layer widths `dims`."""
+    weights, biases, end = [], [], 0
+    for d_in, d_out in zip(dims[:-1], dims[1:]):
+        start, end = end, end + d_out * (d_in + 1)
+        weights.append(buf[start:end - d_out].reshape(d_out, d_in))
+        biases.append(buf[end - d_out:end])
+    return tuple(weights), tuple(biases)
+
+
+class Workspace:
+    """The buffers of one training step on `rows`-row batches of an encoder
+    with layer widths `dims`, in three groups, each allocated when its
+    function first asks for it: a fresh workspace holds only what its one
+    call needs.
+    """
+
+    def __init__(self, dims, rows):
+        self.dims, self.rows = tuple(int(d) for d in dims), int(rows)
+
+    def _rows(self, widths, dtype=np.float64):
+        return [np.empty((self.rows, d), dtype) for d in widths]
+
+    @functools.cached_property
+    def for_forward(self):
+        """Every layer's pre-activations and every hidden layer's relu
+        outputs."""
+        return self._rows(self.dims[1:]), self._rows(self.dims[1:-1])
+
+    @functools.cached_property
+    def for_backward(self):
+        """The gradient, its per-layer (weights, biases) views, and every
+        hidden layer's deltas and relu masks."""
+        grad = np.empty(_flat_size(self.dims))
+        return (grad, _layer_views(self.dims, grad),
+                self._rows(self.dims[1:-1]), self._rows(self.dims[1:-1], bool))
+
+    @functools.cached_property
+    def for_adam(self):
+        """Two temporaries of `flat`'s size."""
+        return np.empty(_flat_size(self.dims)), np.empty(_flat_size(self.dims))
+
+
+def _workspace(workspace, params, rows=None):
+    """`workspace`, checked against `params` and (unless None) the batch
+    rows, or a fresh one when it is None."""
+    if workspace is None:
+        return Workspace(params.dims, rows or 0)
+    if (workspace.dims != tuple(params.dims)
+            or rows not in (None, workspace.rows)):
+        raise ContractViolationError(
+            f"workspace for {workspace.rows} rows of layers {workspace.dims} "
+            f"used for {rows} rows of layers {tuple(params.dims)}")
+    return workspace
 
 
 # Adam's published defaults (Kingma & Ba, 2015)
@@ -114,12 +178,15 @@ def init_params(layer_dims, seed):
     return params
 
 
-def forward(params, batch):
+def forward(params, batch, workspace=None):
     """Run the encoder on a (B, D_in) batch.
 
     Returns (embeddings, cache).  The cache holds the layer inputs and
     pre-activations needed by backward().  Hidden layers apply relu; the
-    final layer is linear.
+    final layer is linear.  Both are written into `workspace` (a fresh one
+    when None), so with a given workspace they hold until the next
+    `forward` into it; the cache also reads `batch`, which must not change
+    before `backward` has run.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != params.weights[0].shape[1]:
@@ -129,26 +196,23 @@ def forward(params, batch):
         )
     if not np.all(np.isfinite(batch)):
         raise InputError("batch contains non-finite values")
-    n_layers = len(params.weights)
-    layer_inputs = []
-    pre_acts = []
+    pre_acts, acts = _workspace(workspace, params, batch.shape[0]).for_forward
     h = batch
     for l, (W, b) in enumerate(zip(params.weights, params.biases)):
-        layer_inputs.append(h)
-        z = h @ W.T + b
-        pre_acts.append(z)
-        if l < n_layers - 1:
-            h = np.maximum(z, 0.0)
-        else:
-            h = z
-    cache = {"inputs": layer_inputs, "pre_acts": pre_acts, "batch_shape": batch.shape}
+        h = np.matmul(h, W.T, out=pre_acts[l])
+        h += b
+        if l < len(acts):
+            h = np.maximum(h, 0.0, out=acts[l])
+    cache = {"inputs": [batch, *acts], "pre_acts": list(pre_acts),
+             "batch_shape": batch.shape}
     return h, cache
 
 
-def backward(params, cache, output_grad):
+def backward(params, cache, output_grad, workspace=None):
     """Backpropagate d(loss)/d(embeddings) into parameter gradients.
 
-    Returns the gradient in the layout of `params.flat`.
+    Returns the gradient in the layout of `params.flat`, written into
+    `workspace` (a fresh one when None).
     """
     output_grad = np.asarray(output_grad, dtype=np.float64)
     expected = (cache["batch_shape"][0], params.weights[-1].shape[0])
@@ -156,37 +220,46 @@ def backward(params, cache, output_grad):
         raise ContractViolationError(
             f"output_grad shape {output_grad.shape}, expected {expected}"
         )
-    grad = np.empty_like(params.flat)
-    dWs, dbs = params.views(grad)
+    grad, (dWs, dbs), deltas, masks = _workspace(
+        workspace, params, expected[0]).for_backward
     delta = output_grad
     for l in range(len(dWs) - 1, -1, -1):
-        dWs[l][...] = delta.T @ cache["inputs"][l]
-        dbs[l][...] = delta.sum(axis=0)
+        np.matmul(delta.T, cache["inputs"][l], out=dWs[l])
+        np.sum(delta, axis=0, out=dbs[l])
         if l > 0:
-            delta = (delta @ params.weights[l]) * (cache["pre_acts"][l - 1] > 0)
+            delta = np.matmul(delta, params.weights[l], out=deltas[l - 1])
+            delta *= np.greater(cache["pre_acts"][l - 1], 0, out=masks[l - 1])
     return grad
 
 
-def adam_step(params, grad, config, epoch):
+def adam_step(params, grad, config, epoch, workspace=None):
     """One in-place Adam update with bias correction.
 
     `grad` has the layout of `params.flat`; `epoch` is the 1-based epoch
-    counter driving the learning-rate drop.
+    counter driving the learning-rate drop.  The temporaries live in
+    `workspace` (a fresh one when None); the order of operations is that
+    of `lr (m / c1) / (sqrt(v / c2) + eps)` with `v += ((1 - b2) g) g`.
     """
     if grad.shape != params.flat.shape:
         raise ContractViolationError(
             f"gradient shape {grad.shape}, expected {params.flat.shape}"
         )
+    t1, t2 = _workspace(workspace, params).for_adam
     lr = config.effective_lr(epoch)
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
     params.step += 1
     params.m *= b1
-    params.m += (1 - b1) * grad
+    params.m += np.multiply(1 - b1, grad, out=t1)
     params.v *= b2
-    params.v += (1 - b2) * grad * grad
+    np.multiply(1 - b2, grad, out=t1)
+    params.v += np.multiply(t1, grad, out=t1)
     corr1 = 1 - b1 ** params.step
     corr2 = 1 - b2 ** params.step
-    params.flat -= lr * (params.m / corr1) / (np.sqrt(params.v / corr2) + eps)
+    np.divide(params.m, corr1, out=t1)
+    np.multiply(lr, t1, out=t1)
+    np.sqrt(np.divide(params.v, corr2, out=t2), out=t2)
+    t2 += eps
+    params.flat -= np.divide(t1, t2, out=t1)
     return params
 
 

@@ -160,13 +160,16 @@ def run_episodic_phase(params, features, pl, config, rng):
                                                  cfg.n_e, cfg.n_s)
     blocks, ranks = episodes.sample_episodes(members, way, cfg.n_e, total,
                                              rng, bounds)
+    # one workspace for every step: each step's embeddings and gradient
+    # are read before the next step overwrites them
+    ws = network.Workspace(params.dims, way * cfg.n_e)
     loss_sum = 0.0
     for s, (block, episode_ranks) in enumerate(zip(blocks, ranks)):
         epoch = s // batches_per_epoch + 1
-        emb, cache = network.forward(params, features[block.ravel()])
+        emb, cache = network.forward(params, features[block.ravel()], ws)
         loss, demb = objective(emb, episode_ranks)
-        grad = network.backward(params, cache, demb)
-        network.adam_step(params, grad, config.optimizer, epoch)
+        grad = network.backward(params, cache, demb, ws)
+        network.adam_step(params, grad, config.optimizer, epoch, ws)
         loss_sum += loss
     return params, loss_sum / total, way, total
 

@@ -214,6 +214,48 @@ class TestPrototypeLoss:
             losses.prototype_loss(emb, labels, support)
 
 
+class TestBlockPrototypeLoss:
+    """`prototype_loss(blocks, n_s)` has the bits of the general entry."""
+
+    @pytest.mark.parametrize("n_c, n_e, n_s", [(60, 4, 1), (5, 4, 2),
+                                               (3, 9, 8), (7, 5, 3)])
+    @pytest.mark.parametrize("scale", [0.01, 0.2, 1.0, 5.0, 30.0])
+    def test_bits_of_general_entry(self, n_c, n_e, n_s, scale):
+        rng = np.random.default_rng([n_c, n_e, n_s, int(100 * scale)])
+        labels, support = episodes.episode_layout(n_c, n_e, n_s)
+        for trial in range(10):
+            emb = rng.normal(size=(n_c * n_e, 16)) * scale
+            if trial % 3 == 0:
+                emb = np.round(emb)    # ties and signed zeros
+            loss, grad = losses.prototype_loss(emb, labels, support)
+            block_loss, block_grad = losses.prototype_loss(
+                emb.reshape(n_c, n_e, 16), n_s)
+            assert block_grad.shape == (n_c, n_e, 16)
+            assert (np.float64(block_loss).tobytes()
+                    == np.float64(loss).tobytes())
+            assert block_grad.tobytes() == grad.tobytes()
+
+    @pytest.mark.parametrize("shape, n_s, match", [
+        ((1, 4, 2), 1, "2 classes"),
+        ((3, 4, 2), 0, "no support"),
+        ((3, 4, 2), 4, "no query"),
+        ((12, 2), 1, "episode block"),
+    ])
+    def test_bad_blocks_rejected(self, shape, n_s, match):
+        with pytest.raises(ContractViolationError, match=match):
+            losses.prototype_loss(np.zeros(shape), n_s)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, 5])
+    def test_non_finite_through_round_objective(self, value, row):
+        # row 0 is a support row, row 5 a query row of the 3 x 4 block
+        fn, _ = losses.episode_objective(losses.PROTOTYPE_KIND, 3, 4, 1)
+        emb = np.zeros((12, 2))
+        emb[row, 1] = value
+        with pytest.raises(InputError, match="non-finite"):
+            fn(emb, ())
+
+
 class TestTripletHinge:
     def test_inactive_region_exactly_zero(self):
         a = np.array([[0.0, 0.0]])

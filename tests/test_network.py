@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uflst import losses, network
+from uflst import episodes, losses, network
 from uflst.errors import (
     CheckpointFormatError,
     ContractViolationError,
@@ -278,6 +278,76 @@ class TestAdam:
             return p
 
         assert params_equal(run(), run())
+
+
+
+class TestWorkspace:
+    """One reused workspace changes no bit of a training run."""
+
+    @pytest.mark.parametrize("dims", [[32, 64, 64, 16], [32, 64, 16]])
+    def test_200_steps_match_fresh_calls(self, dims):
+        # the fixture's encoder and batch (60 classes x 4 rows), and one
+        # hidden layer; epochs run past the learning-rate drop
+        rng = np.random.default_rng(len(dims))
+        features = rng.normal(size=(1000, 32))
+        objective, _ = losses.episode_objective(losses.PROTOTYPE_KIND,
+                                                60, 4, 1)
+        cfg = network.OptimizerConfig()
+        fresh = network.init_params(dims, seed=3)
+        reused = fresh.copy()
+        ws = network.Workspace(dims, 240)
+        for s in range(200):
+            batch = features[rng.integers(0, 1000, size=240)]
+            epoch = s // 5 + 1
+            for params, workspace in ((fresh, None), (reused, ws)):
+                emb, cache = network.forward(params, batch, workspace)
+                _, demb = objective(emb, ())
+                grad = network.backward(params, cache, demb, workspace)
+                network.adam_step(params, grad, cfg, epoch, workspace)
+        assert reused.step == fresh.step == 200
+        for name in ("flat", "m", "v"):
+            assert (getattr(reused, name).tobytes()
+                    == getattr(fresh, name).tobytes())
+
+    def test_fresh_calls_keep_what_they_returned(self):
+        p = network.init_params([4, 6, 6, 3], seed=5)
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(size=(2, 7, 4))
+        emb, cache = network.forward(p, x)
+        grad = network.backward(p, cache, emb)
+        kept = [a.copy() for a in (emb, grad, *cache["inputs"],
+                                   *cache["pre_acts"])]
+        emb2, cache2 = network.forward(p, y)
+        network.adam_step(p, network.backward(p, cache2, emb2),
+                          network.OptimizerConfig(), epoch=1)
+        for before, now in zip(kept, (emb, grad, *cache["inputs"],
+                                      *cache["pre_acts"])):
+            assert now.tobytes() == before.tobytes()
+
+    def test_workspace_arrays_last_until_the_next_forward(self):
+        p = network.init_params([4, 6, 3], seed=6)
+        rng = np.random.default_rng(6)
+        x, y = rng.normal(size=(2, 7, 4))
+        ws = network.Workspace(p.dims, 7)
+        emb, cache = network.forward(p, x, ws)
+        arrays = (emb, *cache["inputs"], *cache["pre_acts"])
+        kept = [a.copy() for a in arrays]
+        network.adam_step(p, network.backward(p, cache, emb.copy(), ws),
+                          network.OptimizerConfig(), 1, ws)
+        # backward and Adam leave the forward's arrays alone ...
+        for before, now in zip(kept, arrays):
+            assert now.tobytes() == before.tobytes()
+        # ... and the next forward overwrites them
+        emb_y, _ = network.forward(p, y, ws)
+        assert emb is emb_y
+        assert emb.tobytes() == network.forward(p, y)[0].tobytes()
+
+    @pytest.mark.parametrize("dims, rows", [([4, 6, 3], 8), ([4, 5, 3], 7)])
+    def test_mismatched_workspace_rejected(self, dims, rows):
+        p = network.init_params([4, 6, 3], seed=7)
+        ws = network.Workspace(dims, rows)
+        with pytest.raises(ContractViolationError, match="workspace"):
+            network.forward(p, np.zeros((7, 4)), ws)
 
 
 
