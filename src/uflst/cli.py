@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from . import config as config_mod
-from . import data, episodes, evaluate, losses, network, pipeline
+from . import data, evaluate, losses, network, pipeline
 from .errors import ConfigError, DatasetParseError, UflstError
 
 log = logging.getLogger("uflst")
@@ -160,15 +160,17 @@ def cmd_eval(args):
 GRADCHECK_KINDS = ("prototype", "triplet_hinge", "triplet_soft_margin")
 
 
-def _gradcheck_loss(kind, emb0, labels, support_mask):
-    """The loss as a fixed function of the embeddings, or None when a hinge
-    sits too close to its kink at `emb0`.
+def _gradcheck_loss(kind, emb0):
+    """The loss of the flattened 3 x 3 episode block `emb0` as a fixed
+    function of the embeddings, or None when a hinge sits too close to its
+    kink at `emb0`.
 
     Triplets are mined once, at `emb0`, and then held fixed.
     """
     if kind == "prototype":
-        return lambda emb: losses.prototype_loss(emb, labels, support_mask)
-    _, p, n, _ = losses.mine_hard_triplets(emb0, labels)
+        fn, _ = losses.episode_objective(losses.PROTOTYPE_KIND, 3, 3, 1)
+        return lambda emb: fn(emb, ())
+    _, p, n, _ = losses.mine_hard_triplets(emb0.reshape(3, 3, -1))
     if kind == "triplet_hinge":
         _, _, pre = losses.triplet_pre_activation(emb0, emb0[p], emb0[n],
                                                   losses.TRIPLET_MARGIN)
@@ -202,12 +204,11 @@ def run_gradient_suite(seed=0, trials=5):
             params = network.init_params([5, 8, 7, 4],
                                          seed=1000 * attempt + seed + 1)
             batch = rng.normal(size=(9, 5))
-            labels, support_mask = episodes.episode_layout(3, 3, 1)
             emb0, cache = network.forward(params, batch)
             relu_margin = min(np.min(np.abs(z)) for z in cache["pre_acts"][:-1])
             if relu_margin < 10 * network.GRADCHECK_STEP:
                 continue
-            fn = _gradcheck_loss(kind, emb0, labels, support_mask)
+            fn = _gradcheck_loss(kind, emb0)
             if fn is None:
                 continue
             err = network.gradient_check(fn, params, batch)

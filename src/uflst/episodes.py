@@ -3,9 +3,9 @@
 An episode samples n_c pseudo-classes and n_e examples per class and is
 held as one (n_c, n_e) array of dataset indices; in prototype mode the
 first n_s columns are the support and the other n_q the query.  Training
-embeds the flattened block and reads its rows through `episode_layout`;
-evaluation embeds the rows a round's blocks touch once, gathers each
-block from them and reads it by its shape alone.
+embeds the flattened block and its loss reads the embeddings back as an
+(n_c, n_e, D) block; evaluation embeds the rows a round's blocks touch
+once, gathers each block from them and reads it by its shape alone.
 
 An episode draws n_c distinct classes uniformly, then n_e distinct members
 of each in random order, then the ranks of its random triplets, if any.
@@ -207,10 +207,3 @@ def _choice_rows(u, start, pop, size):
         picks[:, i] = swap
     return picks
 
-
-def episode_layout(n_c, n_e, n_s):
-    """Class position and support flag of each row of a flattened (n_c, n_e)
-    episode block: row c of the block is class c, its first n_s columns
-    the support."""
-    rows = np.arange(n_c * n_e)
-    return rows // n_e, rows % n_e < n_s

@@ -58,15 +58,12 @@ def nmi(a, b):
 def nearest_prototype_predict(blocks, n_s):
     """The nearest class of each query in stacked (..., n_c, n_e, D)
     episode blocks, shape (..., n_c, n_e - n_s): row c is class c, its
-    first n_s columns the support.  The support is added to 0 column by
-    column, not pairwise as a width-1 `np.mean` would, so each prototype
-    has the bits of its class's row-order mean."""
-    protos = 0.0
-    for j in range(n_s):
-        protos = protos + blocks[..., j, :]
+    first n_s columns the support, whose `metric.prototypes` each query
+    is scored against."""
     *lead, n_c, n_e, dim = blocks.shape
     query = blocks[..., n_s:, :].reshape(*lead, n_c * (n_e - n_s), dim)
-    nearest = np.argmin(metric.sq_distances(query, protos / n_s), axis=-1)
+    nearest = np.argmin(
+        metric.sq_distances(query, metric.prototypes(blocks, n_s)), axis=-1)
     return nearest.reshape(*lead, n_c, n_e - n_s)
 
 

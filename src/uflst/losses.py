@@ -6,12 +6,10 @@ pass can chain them; distances are raw squared Euclidean throughout.
 with the bounds of the ranks it reads.  No loss draws: random triplets
 read ranks drawn by `episodes.sample_episodes`.
 
-`prototype_loss` reads an episode by per-row labels and support flags,
-or, as the round's objective calls it, as an (n_c, n_e, D) block by
-slice; both layouts feed one softmax and gradient body.  Training hands
-an objective embeddings that live in the round's `network.Workspace`,
-valid only until the next step's forward, so every loss reads them
-within its call and returns a gradient in arrays of its own.
+Training hands an objective embeddings that live in the round's
+`network.Workspace`, valid only until the next step's forward, so every
+loss reads them within its call and returns a gradient in arrays of its
+own.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import episodes, metric
+from . import metric
 from .errors import ConfigError, ContractViolationError, InputError
 
 PROTOTYPE_KIND = "prototype"
@@ -40,25 +38,17 @@ class LossConfig:
             raise ConfigError(f"unknown loss kind {self.kind!r}")
 
 
-def prototype_loss(emb, *layout):
-    """Mean negative-log softmax over prototype distances.
+def prototype_loss(blocks, n_s):
+    """Mean negative-log softmax over prototype distances of an (n_c, n_e,
+    D) episode block whose row c is class c, its first n_s columns the
+    support and the rest the queries; the gradient comes back in the
+    block's shape.
 
-    The episode comes in one of two layouts, read by the same softmax and
-    gradient body:
-      - `prototype_loss(emb, labels, support_mask)`: any (N, D) rows, each
-        with its class label and support flag;
-      - `prototype_loss(blocks, n_s)`: an (n_c, n_e, D) episode block whose
-        row c is class c, its first n_s columns the support and the rest
-        the queries.  Prototypes and queries are read by slice, as in
-        `evaluate.nearest_prototype_predict`, and the gradient comes back
-        in the block's shape.
-    Both give the same bits on a block layout.
-
-    Prototypes are per-class means of support embeddings, each the support
-    rows added to 0 in row order and divided by their count; gradients
-    flow to queries and, through the means, to support points.  The
-    distances d_qk = |z_q - c_k|^2 come from `metric.sq_distances`, and
-    with w_qk = [k == y_q] - p_qk the gradients are two GEMMs over the
+    Prototypes are `metric.prototypes`, the support columns added to 0 in
+    order and divided by n_s, as in `evaluate.nearest_prototype_predict`;
+    gradients flow to queries and, through the means, to support points.
+    The distances d_qk = |z_q - c_k|^2 come from `metric.sq_distances`,
+    and with w_qk = [k == y_q] - p_qk the gradients are two GEMMs over the
     (Q, D) queries Z and the (K, D) prototypes C:
 
         dL/dZ = 2/Q (rowsum(w) Z - w C)
@@ -67,40 +57,7 @@ def prototype_loss(emb, *layout):
     `sq_distances` expands |a|^2 + |b|^2 - 2 a.b, so the absolute error of
     the loss and gradient scales with max|emb|^2.
     """
-    emb = np.asarray(emb, dtype=np.float64)
-    if len(layout) == 1:
-        return _block_prototype_loss(emb, *layout)
-    labels, support_mask = layout
-    labels = np.asarray(labels, dtype=np.int64)
-    support_mask = np.asarray(support_mask, dtype=bool)
-    classes, of_row = np.unique(labels, return_inverse=True)
-    if classes.size < 2:
-        raise ContractViolationError("prototype loss needs at least 2 classes")
-    query_idx = np.flatnonzero(~support_mask)
-    if query_idx.size == 0:
-        raise ContractViolationError("no query points")
-    of_support = of_row[support_mask]
-    counts = np.bincount(of_support, minlength=classes.size)
-    unsupported = classes[counts == 0]    # classes whose rows are all queries
-    if unsupported.size:
-        raise ContractViolationError(
-            f"query class {unsupported[0]} has no support examples"
-        )
-    _check_finite(emb)
-
-    sums = np.zeros((classes.size, emb.shape[1]))
-    np.add.at(sums, of_support, emb[support_mask])
-    loss, grad_q, grad_c = _prototype_softmax(
-        emb[query_idx], sums / counts[:, None], of_row[query_idx])
-    grad = np.zeros_like(emb)
-    grad[query_idx] = grad_q
-    grad[support_mask] = (grad_c / counts[:, None])[of_support]
-    return loss, grad
-
-
-def _block_prototype_loss(blocks, n_s):
-    """`prototype_loss` over an (n_c, n_e, D) episode block with n_s
-    support columns."""
+    blocks = np.asarray(blocks, dtype=np.float64)
     if blocks.ndim != 3:
         raise ContractViolationError(
             f"an episode block is (n_c, n_e, D), got shape {blocks.shape}")
@@ -110,28 +67,12 @@ def _block_prototype_loss(blocks, n_s):
     if not 0 < n_s < n_e:
         raise ContractViolationError(
             f"n_s={n_s} of {n_e} columns leaves no support or no query")
-    _check_finite(blocks)
-
-    protos = 0.0
-    for j in range(n_s):
-        protos = protos + blocks[:, j]
-    loss, grad_q, grad_c = _prototype_softmax(
-        blocks[:, n_s:].reshape(-1, dim), protos / n_s,
-        np.repeat(np.arange(n_c), n_e - n_s))
-    grad = np.empty_like(blocks)
-    grad[:, n_s:] = grad_q.reshape(n_c, n_e - n_s, dim)
-    grad[:, :n_s] = (grad_c / n_s)[:, None]
-    return loss, grad
-
-
-def _check_finite(emb):
-    if not np.all(np.isfinite(emb)):
+    if not np.all(np.isfinite(blocks)):
         raise InputError("prototype embeddings contain non-finite values")
 
-
-def _prototype_softmax(zq, protos, target):
-    """(loss, dL/dZ, dL/dC) of the softmax over -|z_q - c_k|^2 of the
-    (Q, D) queries Z and (K, D) prototypes C, query q of class target[q]."""
+    zq = blocks[:, n_s:].reshape(-1, dim)
+    protos = metric.prototypes(blocks, n_s)
+    target = np.repeat(np.arange(n_c), n_e - n_s)
     logits = metric.sq_distances(zq, protos)            # (Q, K)
     np.negative(logits, out=logits)
     top = logits.max(axis=1)
@@ -146,7 +87,10 @@ def _prototype_softmax(zq, protos, target):
     scale = 2.0 / target.size
     grad_q = scale * (w.sum(axis=1)[:, None] * zq - w @ protos)
     grad_c = -scale * (w.T @ zq - w.sum(axis=0)[:, None] * protos)
-    return loss, grad_q, grad_c
+    grad = np.empty_like(blocks)
+    grad[:, n_s:] = grad_q.reshape(n_c, n_e - n_s, dim)
+    grad[:, :n_s] = (grad_c / n_s)[:, None]
+    return loss, grad
 
 
 def triplet_pre_activation(anchor, positive, negative, margin):
@@ -197,30 +141,35 @@ class MiningStats:
     num_skipped: int
 
 
-def mine_hard_triplets(emb, labels):
-    """Batch-hard mining inside one episode.
-
-    Per anchor: farthest same-class point, nearest different-class point,
-    ties broken by lowest index.  Anchors whose class has a single member
-    are skipped and counted.
+def mine_hard_triplets(blocks):
+    """Batch-hard mining inside one (n_c, n_e, D) episode block, row c
+    class c, over its flattened rows: every row anchors, with the farthest
+    other member of its class and the nearest row of another class, ties
+    broken by lowest index.  The positives are read from the class blocks
+    on the diagonal of the rows' distance matrix, and the negatives from
+    its rows with those blocks at +inf.  Returns (anchors, positives,
+    negatives, stats); no anchor is ever skipped.
     """
-    emb = np.asarray(emb, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if np.unique(labels).size < 2:
+    blocks = np.asarray(blocks, dtype=np.float64)
+    if blocks.ndim != 3:
+        raise ContractViolationError(
+            f"an episode block is (n_c, n_e, D), got shape {blocks.shape}")
+    n_c, n_e, dim = blocks.shape
+    if n_c < 2:
         raise ContractViolationError("hard mining needs at least 2 classes")
+    if n_e < 2:
+        raise ContractViolationError(f"hard mining needs n_e >= 2, got {n_e}")
+    emb = blocks.reshape(n_c * n_e, dim)
     dist = metric.sq_distances(emb, emb)
-    same = labels[:, None] == labels[None, :]
-    pos_mask = same & ~np.eye(labels.size, dtype=bool)
-    anchors = np.flatnonzero(pos_mask.any(axis=1))
-    positives = np.argmax(np.where(pos_mask, dist, -np.inf), axis=1)[anchors]
-    negatives = np.argmin(np.where(same, np.inf, dist), axis=1)[anchors]
-    return (
-        anchors,
-        positives,
-        negatives,
-        MiningStats(num_anchors=anchors.size,
-                    num_skipped=labels.size - anchors.size),
-    )
+    by_class = dist.reshape(n_c, n_e, n_c, n_e)
+    classes, members = np.arange(n_c), np.arange(n_e)
+    own = by_class[classes, :, classes]                # (n_c, n_e, n_e)
+    own[:, members, members] = -np.inf
+    positives = (np.argmax(own, axis=2) + n_e * classes[:, None]).ravel()
+    by_class[classes, :, classes] = np.inf
+    negatives = np.argmin(dist, axis=1)
+    return (np.arange(n_c * n_e), positives, negatives,
+            MiningStats(num_anchors=n_c * n_e, num_skipped=0))
 
 
 def episode_objective(kind, n_c, n_e, n_s):
@@ -232,12 +181,11 @@ def episode_objective(kind, n_c, n_e, n_s):
     c * n_e + j is member j of class c, its first n_s columns the support.
     `emb` need only stay valid during the call (training passes its
     workspace's embeddings), and `grad` is a new array of `emb`'s shape.
-    The prototype kind passes `emb` as an (n_c, n_e, D) block view with
-    n_s, positionally, to `prototype_loss`.  The triplet kinds make every
-    row an anchor (n_e >= 2); the random kinds' (positive, negative) ranks
-    pick among its candidates in ascending index order.  The prototype
-    and hard kinds read no ranks and reach `prototype_loss` and
-    `mine_hard_triplets` through this module's globals per episode.
+    The triplet kinds make every row an anchor (n_e >= 2); the random
+    kinds' (positive, negative) ranks pick among its candidates in
+    ascending index order.  The prototype and hard kinds read no ranks
+    and pass `emb`, as an (n_c, n_e, D) block view, to `prototype_loss`
+    and `mine_hard_triplets` through this module's globals per episode.
     """
     if n_c < 2:
         raise ContractViolationError("an episode needs at least 2 classes")
@@ -251,10 +199,8 @@ def episode_objective(kind, n_c, n_e, n_s):
     fn = (triplet_soft_margin_loss if kind == SOFT_MARGIN_KIND
           else triplet_hinge_loss)
     if kind == HARD_TRIPLET_KIND:
-        labels = episodes.episode_layout(n_c, n_e, n_s)[0]
-
         def hard(emb, ranks):
-            _, p, n, _ = mine_hard_triplets(emb, labels)
+            _, p, n, _ = mine_hard_triplets(np.reshape(emb, (n_c, n_e, -1)))
             return indexed_triplet_loss(fn, emb, p, n)
         return hard, ()
 

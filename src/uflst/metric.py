@@ -78,6 +78,18 @@ def sq_distances(a, b, out=None, b_norms=None):
     return dist
 
 
+def prototypes(blocks, n_s):
+    """The (..., n_c, D) prototypes of stacked (..., n_c, n_e, D) episode
+    blocks whose first n_s columns are the support.  The support is added
+    to 0 column by column, not pairwise as a width-n_s `np.mean` would,
+    and then divided by n_s, so each prototype has the bits of its class's
+    row-order mean."""
+    protos = 0.0
+    for j in range(n_s):
+        protos = protos + blocks[..., j, :]
+    return protos / n_s
+
+
 def label_groups(labels):
     """The row indices of each distinct label, labels in ascending order and
     rows ascending within each: `[np.flatnonzero(labels == c) for c in

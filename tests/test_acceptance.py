@@ -174,10 +174,10 @@ class TestLossLandmarks:
         # negative log-likelihood is exactly ln K
         errs = []
         for k in (2, 3, 5, 8):
-            emb = np.vstack([3.0 * np.eye(k), np.zeros((1, k))])
-            labels = np.concatenate([np.arange(k), [0]])
-            support = np.array([True] * k + [False])
-            loss, _ = losses.prototype_loss(emb, labels, support)
+            # support c at 3 e_c, every query at the origin
+            blocks = np.zeros((k, 2, k))
+            blocks[:, 0] = 3.0 * np.eye(k)
+            loss, _ = losses.prototype_loss(blocks, 1)
             errs.append(abs(loss - math.log(k)))
         proto_err = max(errs)
 

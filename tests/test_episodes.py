@@ -165,14 +165,6 @@ class TestSampling:
             assert np.array_equal(
                 row, rng.choice(pl.class_members[c], size=4, replace=False))
 
-    def test_prototype_mode_splits(self):
-        # support is the first n_s columns of each row
-        block = one_episode(make_pl([8] * 6).class_members, 3, 4,
-                            np.random.default_rng(3))
-        labels, support = episodes.episode_layout(3, 4, 1)
-        assert np.array_equal(block.ravel()[support], block[:, 0])
-        assert np.array_equal(labels, np.repeat(np.arange(3), 4))
-
     def test_class_coverage_over_many_samples(self):
         # every eligible class should eventually appear
         pl = make_pl([8] * 10)

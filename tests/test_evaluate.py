@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from uflst import cluster, episodes, evaluate, metric, network
 from uflst.errors import InputError, ProtocolInfeasibleError
+from test_losses import flat_layout
 
 
 def oracle_nmi(a, b):
@@ -94,7 +95,7 @@ def reference_few_shot_accuracy(params, features, labels, protocol,
     features = np.asarray(features, dtype=np.float64)
     members = evaluate.eval_members(params, features, labels, protocol)
     way, per_class = protocol.n_c_test, protocol.n_s + protocol.n_q
-    classes, support = episodes.episode_layout(way, per_class, protocol.n_s)
+    classes, support = flat_layout(way, per_class, protocol.n_s)
     blocks, _ = episodes.sample_episodes(members, way, per_class, n_episodes,
                                          rng)
     accs = []

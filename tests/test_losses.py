@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from uflst import episodes, losses
+from uflst import losses
 from uflst.errors import ContractViolationError, InputError
 
 EPS = np.finfo(np.float64).eps
@@ -27,6 +27,12 @@ def fd_embedding_grad(loss_of, emb, step=1e-6):
 
 def rel_err(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b), 1e-12)
+
+
+def flat_layout(n_c, n_e, n_s):
+    """Class and support flag of each row of a flattened (n_c, n_e) block
+    with n_s support columns, for the oracles that read labels."""
+    return np.repeat(np.arange(n_c), n_e), np.tile(np.arange(n_e) < n_s, n_c)
 
 
 def reference_prototype_loss(emb, labels, support_mask):
@@ -80,24 +86,13 @@ def random_embeddings(rng, n, dim):
 
 
 @st.composite
-def general_layouts(draw):
-    """Any labels and support mask, including ones the loss rejects."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(2, 40))
-    labels = rng.integers(0, draw(st.integers(1, 6)), size=n) * 3 - 2
-    support = rng.random(n) < draw(st.floats(0.1, 0.9))
-    return random_embeddings(rng, n, draw(st.integers(1, 4))), labels, support
-
-
-@st.composite
 def block_layouts(draw):
-    """A flattened (n_c, n_e) episode block with n_s support columns."""
+    """An (n_c, n_e, D) episode block and its n_s support columns."""
     n_c, n_e = draw(st.integers(2, 60)), draw(st.integers(2, 6))
     n_s = draw(st.integers(1, n_e - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    labels, support = episodes.episode_layout(n_c, n_e, n_s)
-    emb = random_embeddings(rng, n_c * n_e, draw(st.integers(1, 16)))
-    return emb, labels, support
+    dim = draw(st.integers(1, 16))
+    return random_embeddings(rng, n_c * n_e, dim).reshape(n_c, n_e, dim), n_s
 
 
 def prototype_tolerance(emb):
@@ -107,130 +102,109 @@ def prototype_tolerance(emb):
     return 64 * EPS * emb.shape[1] * max(1.0, float(np.abs(emb).max()) ** 2)
 
 
+def check_against_reference(blocks, n_s):
+    """`prototype_loss(blocks, n_s)` against the oracle on the flattened
+    block, within `prototype_tolerance`."""
+    n_c, n_e, dim = blocks.shape
+    emb = blocks.reshape(-1, dim)
+    expected_loss, expected_grad = reference_prototype_loss(
+        emb, *flat_layout(n_c, n_e, n_s))
+    loss, grad = losses.prototype_loss(blocks, n_s)
+    assert grad.shape == blocks.shape
+    tol = prototype_tolerance(emb)
+    assert loss == pytest.approx(expected_loss, rel=64 * EPS, abs=tol)
+    assert np.max(np.abs(grad.reshape(-1, dim) - expected_grad)) <= tol
+
+
 class TestPrototypeMatchesReference:
-    def check(self, emb, labels, support):
-        try:
-            expected_loss, expected_grad = reference_prototype_loss(
-                emb, labels, support)
-        except ContractViolationError as expected:
-            with pytest.raises(ContractViolationError) as raised:
-                losses.prototype_loss(emb, labels, support)
-            assert str(raised.value) == str(expected)
-            return
-        loss, grad = losses.prototype_loss(emb, labels, support)
-        tol = prototype_tolerance(emb)
-        assert loss == pytest.approx(expected_loss, rel=64 * EPS, abs=tol)
-        assert np.max(np.abs(grad - expected_grad)) <= tol
-
-    @settings(max_examples=300, deadline=None)
-    @given(general_layouts())
-    def test_general_layouts(self, case):
-        self.check(*case)
-
     @settings(max_examples=150, deadline=None)
     @given(block_layouts())
     def test_block_layouts(self, case):
-        self.check(*case)
+        check_against_reference(*case)
 
     @pytest.mark.parametrize("offset", [0.0, 10.0, 100.0])
     def test_shared_offset(self, offset):
         # a common offset c makes |a|^2 + |b|^2 - 2 a.b cancel about
         # log2(c^2) bits; the tolerance grows with max|emb|^2 to match
         rng = np.random.default_rng(int(offset))
-        labels, support = episodes.episode_layout(60, 4, 1)
         for _ in range(20):
-            self.check(offset + rng.normal(size=(240, 16)), labels, support)
+            check_against_reference(offset + rng.normal(size=(60, 4, 16)), 1)
 
     def test_tied_far_prototypes(self):
         # at distances near 1e20 the log-sum-exp drops its ln 2, so both
         # tied prototypes get p = 1 and the rows of w no longer sum to 0:
         # the gradient must still be sum_k w_qk (z_q - c_k)
-        emb = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1e10], [0.0, -1e10]])
-        self.check(emb, np.array([0, 1, 0, 1]),
-                   np.array([True, True, False, False]))
+        blocks = np.array([[[-1.0, 0.0], [0.0, 1e10]],
+                           [[1.0, 0.0], [0.0, -1e10]]])
+        check_against_reference(blocks, 1)
 
 
 class TestPrototypeLoss:
     def test_uniform_landmark_ln_k(self):
         # query equidistant from all K prototypes: loss is exactly ln K
         for k in (2, 3, 5, 8):
-            # prototypes at unit basis vectors, query at the origin
-            emb = np.vstack([np.eye(k), np.zeros((1, k))])
-            labels = np.concatenate([np.arange(k), [0]])
-            support = np.array([True] * k + [False])
-            loss, _ = losses.prototype_loss(emb, labels, support)
+            # prototypes at unit basis vectors, every query at the origin
+            blocks = np.zeros((k, 2, k))
+            blocks[:, 0] = np.eye(k)
+            loss, _ = losses.prototype_loss(blocks, 1)
             assert loss == pytest.approx(np.log(k), abs=1e-9)
 
     def test_confident_correct_goes_to_zero(self):
-        # query on top of its prototype, far from the other
-        emb = np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 0.0]])
-        labels = np.array([0, 1, 0])
-        support = np.array([True, True, False])
-        loss, _ = losses.prototype_loss(emb, labels, support)
+        # each query on top of its prototype, far from the other
+        blocks = np.array([[[0.0, 0.0], [0.0, 0.0]],
+                           [[100.0, 0.0], [100.0, 0.0]]])
+        loss, _ = losses.prototype_loss(blocks, 1)
         assert loss < 1e-8
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(0)
-        labels = np.repeat(np.arange(4), 3)
-        support = np.tile([True, False, False], 4)
         for trial in range(5):
-            emb = rng.normal(size=(12, 5))
-            loss, grad = losses.prototype_loss(emb, labels, support)
+            emb = rng.normal(size=(12, 5)).reshape(4, 3, 5)
+            loss, grad = losses.prototype_loss(emb, 1)
             fd = fd_embedding_grad(
-                lambda e: losses.prototype_loss(e, labels, support)[0], emb
+                lambda e: losses.prototype_loss(e, 1)[0], emb
             )
             assert rel_err(grad, fd) < 1e-6
 
     def test_gradients_reach_support_points(self):
         rng = np.random.default_rng(1)
-        emb = rng.normal(size=(6, 3))
-        labels = np.repeat(np.arange(2), 3)
-        support = np.tile([True, True, False], 2)
-        _, grad = losses.prototype_loss(emb, labels, support)
-        assert np.any(grad[support] != 0.0)
+        emb = rng.normal(size=(6, 3)).reshape(2, 3, 3)
+        _, grad = losses.prototype_loss(emb, 2)
+        assert np.any(grad[:, :2] != 0.0)
 
     def test_single_class_rejected(self):
-        emb = np.zeros((4, 2))
         with pytest.raises(ContractViolationError):
-            losses.prototype_loss(emb, np.zeros(4, dtype=int),
-                                  np.array([True, True, False, False]))
-
-    def test_query_without_support_rejected(self):
-        emb = np.zeros((3, 2))
-        labels = np.array([0, 1, 2])
-        support = np.array([True, True, False])
-        with pytest.raises(ContractViolationError):
-            losses.prototype_loss(emb, labels, support)
+            losses.prototype_loss(np.zeros((1, 4, 2)), 2)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("row", [0, 3])
     def test_non_finite_embeddings_rejected(self, value, row):
-        # row 0 is a support row, row 3 a query row
+        # row 0 is class 0's support, row 3 class 1's query
         emb = np.zeros((4, 2))
         emb[row, 1] = value
-        labels = np.array([0, 1, 0, 1])
-        support = np.array([True, True, False, False])
         with pytest.raises(InputError, match="non-finite"):
-            losses.prototype_loss(emb, labels, support)
+            losses.prototype_loss(emb.reshape(2, 2, 2), 1)
 
 
 class TestBlockPrototypeLoss:
-    """`prototype_loss(blocks, n_s)` has the bits of the general entry."""
+    """`prototype_loss(blocks, n_s)` at fixed shapes and scales: within
+    the oracle's tolerance, and with the bits of the round objective's
+    general (N, D) entry."""
 
     @pytest.mark.parametrize("n_c, n_e, n_s", [(60, 4, 1), (5, 4, 2),
                                                (3, 9, 8), (7, 5, 3)])
     @pytest.mark.parametrize("scale", [0.01, 0.2, 1.0, 5.0, 30.0])
     def test_bits_of_general_entry(self, n_c, n_e, n_s, scale):
         rng = np.random.default_rng([n_c, n_e, n_s, int(100 * scale)])
-        labels, support = episodes.episode_layout(n_c, n_e, n_s)
+        fn, _ = losses.episode_objective(losses.PROTOTYPE_KIND, n_c, n_e, n_s)
         for trial in range(10):
             emb = rng.normal(size=(n_c * n_e, 16)) * scale
             if trial % 3 == 0:
                 emb = np.round(emb)    # ties and signed zeros
-            loss, grad = losses.prototype_loss(emb, labels, support)
+            check_against_reference(emb.reshape(n_c, n_e, 16), n_s)
+            loss, grad = fn(emb, ())
             block_loss, block_grad = losses.prototype_loss(
                 emb.reshape(n_c, n_e, 16), n_s)
-            assert block_grad.shape == (n_c, n_e, 16)
             assert (np.float64(block_loss).tobytes()
                     == np.float64(loss).tobytes())
             assert block_grad.tobytes() == grad.tobytes()
@@ -369,31 +343,40 @@ class TestMining:
         return triplets
 
     def test_matches_oracle(self):
+        # every third block is rounded to integers, mostly -1, 0 and 1, so
+        # that tied distances and coincident rows occur
         rng = np.random.default_rng(4)
-        for trial in range(20):
-            n_classes = int(rng.integers(2, 5))
-            sizes = rng.integers(1, 5, size=n_classes)
-            labels = np.concatenate(
-                [np.full(s, c) for c, s in enumerate(sizes)]
-            )
-            emb = rng.normal(size=(labels.size, 3))
-            a, p, n, stats = losses.mine_hard_triplets(emb, labels)
-            expected = self.oracle(emb, labels)
+        for trial in range(30):
+            n_c, n_e = int(rng.integers(2, 9)), int(rng.integers(2, 7))
+            dim = int(rng.integers(1, 4))
+            emb = rng.normal(size=(n_c * n_e, dim))
+            if trial % 3 == 0:
+                emb = np.round(emb * 0.6)
+            a, p, n, stats = losses.mine_hard_triplets(
+                emb.reshape(n_c, n_e, dim))
+            expected = self.oracle(emb, flat_layout(n_c, n_e, 1)[0])
             assert list(zip(a.tolist(), p.tolist(), n.tolist())) == expected
-            assert stats.num_anchors == len(expected)
-            assert stats.num_skipped == labels.size - len(expected)
+            assert stats.num_anchors == n_c * n_e
+            assert stats.num_skipped == 0
 
     def test_tie_break_first_index(self):
         # coincident candidates: the lower index must be picked
-        emb = np.array([[0.0], [1.0], [1.0], [2.0], [2.0]])
-        labels = np.array([0, 0, 0, 1, 1])
-        a, p, n, _ = losses.mine_hard_triplets(emb, labels)
-        i = np.flatnonzero(a == 0)[0]
-        assert p[i] == 1 and n[i] == 3
+        # and never the anchor itself, even at distance 0 from all others
+        blocks = np.array([[[0.0], [1.0], [1.0]], [[2.0], [2.0], [2.0]]])
+        a, p, n, _ = losses.mine_hard_triplets(blocks)
+        assert a.tolist() == [0, 1, 2, 3, 4, 5]
+        assert p.tolist() == [1, 0, 0, 4, 3, 3]
+        assert n.tolist() == [3, 3, 3, 1, 1, 1]
 
     def test_single_class_rejected(self):
-        with pytest.raises(ContractViolationError):
-            losses.mine_hard_triplets(np.zeros((3, 2)), np.zeros(3, dtype=int))
+        with pytest.raises(ContractViolationError, match="2 classes"):
+            losses.mine_hard_triplets(np.zeros((1, 3, 2)))
+
+    @pytest.mark.parametrize("shape, match", [((4, 1, 2), "n_e >= 2"),
+                                              ((6, 2), "episode block")])
+    def test_bad_blocks_rejected(self, shape, match):
+        with pytest.raises(ContractViolationError, match=match):
+            losses.mine_hard_triplets(np.zeros(shape))
 
 
 def reference_random_triplets(labels, rng):
@@ -440,8 +423,7 @@ def assert_same_triplets(n_c, n_e, batch_rng, loop_rng):
     _, bounds = losses.episode_objective(losses.TRIPLET_KIND, n_c, n_e, 1)
     got = objective_triplets(losses.TRIPLET_KIND, n_c, n_e,
                              batch_rng.integers(0, bounds))
-    want = reference_random_triplets(
-        episodes.episode_layout(n_c, n_e, 1)[0], loop_rng)
+    want = reference_random_triplets(flat_layout(n_c, n_e, 1)[0], loop_rng)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
     assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
@@ -522,14 +504,15 @@ class TestIndexedTripletLoss:
         # lands on the row
         rng = np.random.default_rng(12)
         n_c, n_e = 6, 4
-        labels = episodes.episode_layout(n_c, n_e, 1)[0]
+        labels = flat_layout(n_c, n_e, 1)[0]
         _, bounds = losses.episode_objective(losses.TRIPLET_KIND, n_c, n_e, 1)
         pre = []
         for _ in range(30):
             emb = (rng.normal(size=(n_c, 3))[labels] * rng.choice([1.0, 3.0])
                    + rng.normal(size=(n_c * n_e, 3)) * 0.5)
             if kind == losses.HARD_TRIPLET_KIND:
-                _, p, n, _ = losses.mine_hard_triplets(emb, labels)
+                _, p, n, _ = losses.mine_hard_triplets(
+                    emb.reshape(n_c, n_e, 3))
             else:
                 _, p, n = objective_triplets(kind, n_c, n_e,
                                              rng.integers(0, bounds))
@@ -544,11 +527,6 @@ class TestIndexedTripletLoss:
 
 
 class TestEpisodeLoss:
-    def test_episode_labels(self):
-        labels, support = episodes.episode_layout(3, 2, 1)
-        assert np.array_equal(labels, [0, 0, 1, 1, 2, 2])
-        assert support.tolist() == [True, False] * 3
-
     def test_dispatch_shapes(self):
         rng = np.random.default_rng(7)
         emb = rng.normal(size=(12, 5))
@@ -565,8 +543,9 @@ class TestEpisodeLoss:
         assert bounds == ()
         loss, grad = fn(emb, np.empty(0, dtype=np.int64))
         expected_loss, expected_grad = losses.prototype_loss(
-            emb, *episodes.episode_layout(3, 4, 2))
-        assert loss == expected_loss and np.array_equal(grad, expected_grad)
+            emb.reshape(3, 4, 5), 2)
+        assert loss == expected_loss
+        assert np.array_equal(grad, expected_grad.reshape(12, 5))
 
     def test_hard_triplet_deterministic_without_rng(self):
         rng = np.random.default_rng(8)
@@ -577,6 +556,20 @@ class TestEpisodeLoss:
         l1, g1 = fn(emb, ())
         l2, g2 = fn(emb, ())
         assert l1 == l2 and np.array_equal(g1, g2)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, 5])
+    @pytest.mark.parametrize("kind", [losses.HARD_TRIPLET_KIND,
+                                      losses.TRIPLET_KIND,
+                                      losses.SOFT_MARGIN_KIND])
+    def test_non_finite_through_round_objective(self, kind, row, value):
+        # a non-finite row of the 3 x 4 block, whether or not a triplet
+        # picks it, must stop the step rather than rank or train on it
+        fn, bounds = losses.episode_objective(kind, 3, 4, 1)
+        emb = np.zeros((12, 2))
+        emb[row, 1] = value
+        with pytest.raises(InputError, match="non-finite"):
+            fn(emb, np.zeros_like(bounds))
 
     @pytest.mark.parametrize("kind", losses.LOSS_KINDS)
     def test_single_class_raises(self, kind):

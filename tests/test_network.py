@@ -169,16 +169,14 @@ class TestBackward:
         # at the whole-gradient-vector level
         p = network.init_params([4, 8, 8, 3], seed=9)
         x = np.random.default_rng(9).normal(size=(6, 4))
-        labels = np.repeat(np.arange(3), 2)
-        support = np.array([True, False] * 3)
 
         def loss_of(params):
             emb, _ = network.forward(params, x)
-            return losses.prototype_loss(emb, labels, support)[0]
+            return losses.prototype_loss(emb.reshape(3, 2, 3), 1)[0]
 
         emb, cache = network.forward(p, x)
-        _, demb = losses.prototype_loss(emb, labels, support)
-        analytic = network.backward(p, cache, demb)
+        _, demb = losses.prototype_loss(emb.reshape(3, 2, 3), 1)
+        analytic = network.backward(p, cache, demb.reshape(6, 3))
 
         step = 1e-4
         numeric = []
@@ -410,11 +408,10 @@ class TestGradientCheck:
         # of its kink; a central difference across a kink is meaningless
         p = network.init_params([4, 8, 8, 3], seed=27)
         x = np.random.default_rng(27).normal(size=(12, 4))
-        labels = np.repeat(np.arange(3), 4)
-        support = np.tile([True, True, False, False], 3)
+        fn, _ = losses.episode_objective(losses.PROTOTYPE_KIND, 3, 4, 2)
 
         def loss_fn(emb):
-            return losses.prototype_loss(emb, labels, support)
+            return fn(emb, ())
 
         assert network.gradient_check(loss_fn, p, x) < 1e-4
 
@@ -422,9 +419,8 @@ class TestGradientCheck:
         # seed chosen away from relu kinks, as above
         p = network.init_params([4, 8, 8, 3], seed=30)
         x = np.random.default_rng(30).normal(size=(8, 4))
-        labels = np.repeat(np.arange(2), 4)
         emb0, _ = network.forward(p, x)
-        a, pos, neg, _ = losses.mine_hard_triplets(emb0, labels)
+        a, pos, neg, _ = losses.mine_hard_triplets(emb0.reshape(2, 4, 3))
 
         def loss_fn(emb):
             loss, (ga, gp, gn) = losses.triplet_soft_margin_loss(
@@ -441,10 +437,10 @@ class TestGradientCheck:
     def test_infeasible_batch(self):
         p = network.init_params([4, 3], seed=23)
         x = np.random.default_rng(23).normal(size=(4, 4))
-        labels = np.zeros(4, dtype=int)  # single class: no valid triplet
 
         def loss_fn(emb):
-            a, pos, neg, _ = losses.mine_hard_triplets(emb, labels)
+            # a single class: no valid triplet
+            a, pos, neg, _ = losses.mine_hard_triplets(emb.reshape(1, 4, 3))
             raise AssertionError("unreachable")
 
         with pytest.raises(InfeasibleCheckError):

@@ -44,3 +44,19 @@ def test_file_on_one_side_is_reported(tmp_path):
     os.remove(os.path.join(a, "run", "checkpoints", "round_0001.ckpt"))
     assert same_bytes.compare_dirs(a, b) == [
         os.path.join("run", "checkpoints", "round_0001.ckpt")]
+
+
+def test_gradcheck_outputs_are_compared(monkeypatch):
+    printed = {"parent": "gradcheck: prototype 8.327e-06\n",
+               "change": "gradcheck: prototype 8.327e-06\n"}
+    monkeypatch.setattr(same_bytes, "uflst",
+                        lambda src, args, env, cwd: printed[src])
+    sides = {"parent": "parent", "change": "change"}
+    line, same = same_bytes.compare_gradchecks(sides, {}, ".")
+    assert same and line == "gradcheck --trials 5: 1 lines identical"
+    printed["change"] = "gradcheck: prototype 8.328e-06\n"
+    line, same = same_bytes.compare_gradchecks(sides, {}, ".")
+    assert not same
+    assert line == ("gradcheck --trials 5: outputs differ: parent: "
+                    "gradcheck: prototype 8.327e-06; change: "
+                    "gradcheck: prototype 8.328e-06")

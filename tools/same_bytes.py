@@ -11,9 +11,12 @@ no workload runs), at seeds 2 and 7, it runs `uflst synth` and then
 `uflst train` from each tree, with one BLAS thread.  It then compares every
 file the two runs wrote (the synthesized data, `metrics.csv`,
 `config.yaml`, the checkpoints and the pseudo-label dumps) except
-`run.log` and `run_meta.yaml`, which hold timestamps and paths.  It prints
-one line per run and exits 1 if any file differs or exists on one side
-only.  It reports; it times nothing.
+`run.log` and `run_meta.yaml`, which hold timestamps and paths.  Last, it
+runs `uflst gradcheck --trials 5` from each tree and compares the two
+outputs, which catches a loss whose gradient drifts on paths that the
+runs do not reach.  It prints one line per run and one for the gradient
+check, and exits 1 if any file differs or exists on one side only, or if
+the gradient checks print different lines.  It reports; it times nothing.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (2, 7)
+GRADCHECK = ("gradcheck", "--trials", "5")
 IGNORED = {"run.log", "run_meta.yaml"}
 # (label, workload, extra train overrides)
 RUNS = (("fixture-hard", "fixture-hard", ()),
@@ -74,9 +78,9 @@ def compare_dirs(a, b):
 
 
 def uflst(src, args, env, cwd):
-    """Run one `uflst` command from the tree `src`; raise on failure.  The
-    working directory is `cwd`, so that no `uflst` package beside the
-    caller shadows `src`."""
+    """Run one `uflst` command from the tree `src` and return its output;
+    raise on failure.  The working directory is `cwd`, so that no `uflst`
+    package beside the caller shadows `src`."""
     proc = subprocess.run(
         [sys.executable, "-m", "uflst.cli", *args],
         env=dict(env, PYTHONPATH=src), cwd=cwd, stdout=subprocess.PIPE,
@@ -84,6 +88,7 @@ def uflst(src, args, env, cwd):
     if proc.returncode != 0:
         raise RuntimeError(f"uflst {args[0]} from {src} exited "
                            f"{proc.returncode}:\n{proc.stdout}")
+    return proc.stdout
 
 
 def run_side(src, out, synth, train, env):
@@ -92,6 +97,18 @@ def run_side(src, out, synth, train, env):
     uflst(src, ["synth", "--out", data, *synth], env, out)
     uflst(src, ["train", "--data", data, "--run-dir", run_dir, *train], env,
           out)
+
+
+def compare_gradchecks(sides, env, cwd):
+    """Run GRADCHECK from each of the `sides` trees: (the report line,
+    whether every side printed the same lines)."""
+    outputs = [uflst(src, GRADCHECK, env, cwd) for src in sides.values()]
+    name = " ".join(GRADCHECK)
+    if len(set(outputs)) == 1:
+        return f"{name}: {len(outputs[0].splitlines())} lines identical", True
+    shown = "; ".join(f"{side}: {' | '.join(out.splitlines())}"
+                      for side, out in zip(sides, outputs))
+    return f"{name}: outputs differ: {shown}", False
 
 
 def main(argv=None):
@@ -121,6 +138,9 @@ def main(argv=None):
                           f"files differ: {', '.join(differ)}")
                 else:
                     print(f"{label} seed {seed}: {compared} files identical")
+        line, same = compare_gradchecks(sides, env, work)
+        print(line)
+        failed += not same
     return 1 if failed else 0
 
 
