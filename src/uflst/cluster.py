@@ -1,5 +1,5 @@
-"""Epsilon selection and deterministic DBSCAN over a precomputed matrix:
-a dense one, or the edge list of a `metric.JaccardMatrix`.
+"""Epsilon selection and deterministic DBSCAN over the edge list of a
+`metric.JaccardMatrix`, whose left-out pairs sit at exactly 1.
 
 DBSCAN's clusters are the connected components of the core-point edges,
 found with array operations on that pair list."""
@@ -59,62 +59,42 @@ class PseudoLabeledSet:
                               in metric.label_groups(self.labels)]
 
 
-def _pairs(values):
-    """(n, rows, cols, dist): the upper-triangle pairs that `values` stores.
-
-    A dense matrix (symmetric, zero diagonal) stores every pair.  A
-    JaccardMatrix stores its pairs below 1; every pair it leaves out is at
-    distance exactly 1.
-    """
-    if isinstance(values, metric.JaccardMatrix):
-        return values.n, values.rows, values.cols, values.dist
-    values = np.asarray(values, dtype=np.float64)
-    n = values.shape[0]
-    rows, cols = np.triu_indices(n, k=1)
-    return n, rows, cols, values[rows, cols]
-
-
-def select_epsilon(values, p):
-    """Mean of the P smallest upper-triangle distances.
-
-    `values` is a dense matrix or a JaccardMatrix.
-    """
+def select_epsilon(jm, p):
+    """Mean of the P smallest upper-triangle distances of the JaccardMatrix
+    `jm`, the pairs it leaves out counted at 1."""
     if p < 1:
         raise ContractViolationError(f"epsilon needs p >= 1 pairs, got p={p}")
-    n, _, _, dist = _pairs(values)
-    if n < 2:
+    if jm.n < 2:
         raise EmptyClusteringError("need at least two points to select epsilon")
-    n_pairs = n * (n - 1) // 2
-    implicit = n_pairs - dist.size   # pairs left out at exactly 1
-    if implicit == 0 and not np.any(dist):
+    n_pairs = jm.n * (jm.n - 1) // 2
+    if jm.dist.size == n_pairs and not np.any(jm.dist):
         warnings.warn(
             "all pairwise distances are zero; epsilon degenerates to 0",
             DegenerateGeometryWarning,
         )
         return 0.0
-    pool = np.sort(dist)[: min(p, n_pairs)]
-    # the implicit pairs at 1 sort after every stored edge
+    pool = np.sort(jm.dist)[: min(p, n_pairs)]
+    # the left-out pairs at 1 sort after every stored distance
     pool = np.concatenate([pool, np.ones(min(p, n_pairs) - pool.size)])
     return float(np.mean(pool))
 
 
-def dbscan_fit(values, epsilon, ms):
-    """Classic DBSCAN on a precomputed distance matrix.
+def dbscan_fit(jm, epsilon, ms):
+    """Classic DBSCAN on the distances of the JaccardMatrix `jm`.
 
-    `values` is a dense matrix (symmetric, zero diagonal) or a
-    JaccardMatrix.  Core point: >= ms points (self included) within
-    distance <= epsilon.  A cluster is a connected component of the edges
-    between core points, numbered in the order of its smallest index.  A
-    border point joins the lowest-numbered cluster among its core
-    neighbours, as an ascending-index BFS would, so labels are fully
-    deterministic.  Noise is labeled -1.
+    Core point: >= ms points (self included) within distance <= epsilon.
+    A cluster is a connected component of the edges between core points,
+    numbered in the order of its smallest index.  A border point joins the
+    lowest-numbered cluster among its core neighbours, as an
+    ascending-index BFS would, so labels are fully deterministic.  Noise is
+    labeled -1.
     """
-    n, rows, cols, dist = _pairs(values)
-    if epsilon >= 1.0 and dist.size < n * (n - 1) // 2:
+    n = jm.n
+    if epsilon >= 1.0 and jm.dist.size < n * (n - 1) // 2:
         # every left-out pair is at exactly 1: all points are neighbours
         return np.full(n, 0 if n >= ms else NOISE, dtype=np.int64)
-    near = dist <= epsilon
-    rows, cols = rows[near], cols[near]
+    near = jm.dist <= epsilon
+    rows, cols = jm.rows[near], jm.cols[near]
     counts = np.bincount(rows, minlength=n) + np.bincount(cols, minlength=n)
     is_core = counts + (epsilon >= 0) >= ms
 

@@ -148,7 +148,8 @@ def mine_hard_triplets(blocks):
     broken by lowest index.  The positives are read from the class blocks
     on the diagonal of the rows' distance matrix, and the negatives from
     its rows with those blocks at +inf.  Returns (anchors, positives,
-    negatives, stats); no anchor is ever skipped.
+    negatives, stats); no anchor is ever skipped.  A non-finite row raises
+    InputError before any distance is taken.
     """
     blocks = np.asarray(blocks, dtype=np.float64)
     if blocks.ndim != 3:
@@ -159,6 +160,8 @@ def mine_hard_triplets(blocks):
         raise ContractViolationError("hard mining needs at least 2 classes")
     if n_e < 2:
         raise ContractViolationError(f"hard mining needs n_e >= 2, got {n_e}")
+    if not np.all(np.isfinite(blocks)):
+        raise InputError("mined embeddings contain non-finite values")
     emb = blocks.reshape(n_c * n_e, dim)
     dist = metric.sq_distances(emb, emb)
     by_class = dist.reshape(n_c, n_e, n_c, n_e)

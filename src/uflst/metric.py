@@ -8,10 +8,7 @@ The chain never holds an N x N array: distances and kNN lists are built
 in cache-sized row blocks that share one buffer, and the Jaccard matrix
 is kept as the edge list of its pairs below 1, of which there are at
 most N k^2 / 2.  A block is a few memory-bound passes over its
-distances, so its size, not the GEMM, sets the speed: on a 2-core
-x86_64 box with one BLAS thread, the `rays-4k` benchmark trains in a
-median 0.83 s at 61 MB peak RSS, against 1.28 s and 172 MB with
-32 MB blocks.
+distances, so its size, not the GEMM, sets the speed (README "Scale").
 """
 
 from __future__ import annotations
@@ -35,11 +32,14 @@ BLOCK_ENTRIES = 1 << 19
 
 @dataclass(frozen=True)
 class JaccardMatrix:
-    """Jaccard distances of n points as an upper-triangle edge list.
+    """Jaccard distances of n points as an upper-triangle edge list, the one
+    form of the graph that epsilon selection and DBSCAN read.
 
-    Only the pairs rows[e] < cols[e] whose distance dist[e] is below 1 are
-    stored, sorted by (row, col).  Every other off-diagonal pair is at
-    exactly 1, and the diagonal is 0.
+    The pairs rows[e] < cols[e] are stored at dist[e], sorted by (row,
+    col), and the diagonal is 0.  A pair the list leaves out is at exactly
+    1 and sorts after every stored distance.  `build_jaccard` stores
+    exactly the pairs below 1; a list that stores every pair leaves
+    nothing out.
     """
     n: int
     rows: np.ndarray
@@ -161,7 +161,8 @@ def knn_sets(dist, k, start=0):
 def k_reciprocal_sets(knn):
     """Mutual-membership filter: keep j in knn[i] only if i is in knn[j].
 
-    Returns the ascending set R_i of every point.
+    Returns (members, sizes): the ascending sets R_i of the points laid end
+    to end in point order, and the size of each.
     """
     knn = np.asarray(knn, dtype=np.intp)
     n, k = knn.shape
@@ -169,28 +170,25 @@ def k_reciprocal_sets(knn):
     keys = np.sort(np.repeat(np.arange(n), k) * n + knn.ravel())
     rows, cols = np.divmod(keys, n)
     mutual = np.isin(cols * n + rows, keys, assume_unique=True)
-    cols = cols[mutual]
-    sizes = np.bincount(rows[mutual], minlength=n)
-    return [cols[end - size:end]
-            for end, size in zip(np.cumsum(sizes), sizes)]
+    return cols[mutual], np.bincount(rows[mutual], minlength=n)
 
 
 def jaccard_matrix(reciprocal):
     """1 - |R_a cap R_b| / |R_a cup R_b| for every pair, as the edges below 1.
 
+    `reciprocal` is the (members, sizes) pair of `k_reciprocal_sets`.
     Reciprocity is symmetric, so m lies in R_a and in R_b exactly when a
     and b both lie in R_m: counting how often each pair occurs inside the
     sets R_m gives every non-empty intersection.  The pairs that occur
     nowhere are disjoint or both empty, and sit at 1.
     """
-    n = len(reciprocal)
-    sizes = np.array([len(r) for r in reciprocal], dtype=np.int64)
-    members = np.concatenate([np.empty(0, dtype=np.int64), *reciprocal])
+    members, sizes = reciprocal
+    n = sizes.size
     starts = np.cumsum(sizes) - sizes
     keys = [np.empty(0, dtype=np.int64)]
     for s in np.unique(sizes[sizes >= 2]):
-        sets = np.sort(members[starts[sizes == s][:, None] + np.arange(s)],
-                       axis=1)
+        # each set is ascending, so every (a, b) pair below has a < b
+        sets = members[starts[sizes == s][:, None] + np.arange(s)]
         a, b = np.triu_indices(s, k=1)
         keys.append((sets[:, a] * n + sets[:, b]).ravel())
     keys, inter = np.unique(np.concatenate(keys), return_counts=True)
@@ -213,21 +211,21 @@ def build_jaccard(embeddings, k):
     n = emb.shape[0]
     step = max(1, BLOCK_ENTRIES // max(n, 1))
     buf = np.empty((min(step, n), n))
+    if n > 1 and not np.any(emb != emb[0]):
+        # tested on the rows: the distances of equal rows can keep
+        # rounding residues of the |a|^2 + |b|^2 - 2ab expansion, which
+        # then order the neighbor lists in place of the index tie-break
+        warnings.warn(
+            "all embeddings coincide; neighbor sets carry no geometry",
+            DegenerateGeometryWarning,
+        )
     norms = np.sum(emb * emb, axis=-1)
     blocks = []
-    coincide = n > 1
     for start in range(0, n, step):
         rows = emb[start:start + step]
         dist = sq_distances(rows, emb, buf[:len(rows)], norms)
         local = np.arange(dist.shape[0])
         dist[local, start + local] = 0.0
-        coincide = coincide and not dist.any()
         blocks.append(knn_sets(dist, k, start))
-    if coincide:
-        warnings.warn(
-            "all embeddings coincide; neighbor sets are pure index "
-            "tie-breaks",
-            DegenerateGeometryWarning,
-        )
     knn = np.concatenate(blocks) if blocks else np.empty((0, 0), np.intp)
     return jaccard_matrix(k_reciprocal_sets(knn))

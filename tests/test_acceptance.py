@@ -126,7 +126,8 @@ class TestOracleEquivalence:
             d = metric.pairwise_sq_euclidean(pts)
             epsilon = float(rng.uniform(0.05, 2.0))
             ms = int(rng.integers(2, 6))
-            labels = cluster.dbscan_fit(d, epsilon, ms)
+            labels = cluster.dbscan_fit(cluster_oracles.all_pairs(d),
+                                        epsilon, ms)
             assigned, noise, _ = cluster_oracles.oracle_dbscan_partition(
                 d, epsilon, ms
             )

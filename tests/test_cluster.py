@@ -103,6 +103,14 @@ def edge_jaccard(n, pairs, dist):
                                 np.asarray(dist, dtype=np.float64)[order])
 
 
+def all_pairs(d):
+    """A JaccardMatrix storing every upper pair of the dense matrix `d`, so
+    that it leaves no pair out."""
+    d = np.asarray(d, dtype=np.float64)
+    rows, cols = np.triu_indices(d.shape[0], k=1)
+    return metric.JaccardMatrix(d.shape[0], rows, cols, d[rows, cols])
+
+
 def co_membership(labels):
     labels = np.asarray(labels)
     valid = labels != cluster.NOISE
@@ -117,11 +125,12 @@ class TestEpsilon:
             [4.0, 2.0, 0.0],
         ])
         # upper triangle sorted: 1, 2, 4
-        assert cluster.select_epsilon(values, 1) == 1.0
-        assert cluster.select_epsilon(values, 2) == pytest.approx(1.5)
-        assert cluster.select_epsilon(values, 3) == pytest.approx(7.0 / 3.0)
+        jm = all_pairs(values)
+        assert cluster.select_epsilon(jm, 1) == 1.0
+        assert cluster.select_epsilon(jm, 2) == pytest.approx(1.5)
+        assert cluster.select_epsilon(jm, 3) == pytest.approx(7.0 / 3.0)
         # p beyond available pairs uses all of them
-        assert cluster.select_epsilon(values, 99) == pytest.approx(7.0 / 3.0)
+        assert cluster.select_epsilon(jm, 99) == pytest.approx(7.0 / 3.0)
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(0)
@@ -130,14 +139,14 @@ class TestEpsilon:
             d = metric.pairwise_sq_euclidean(rng.normal(size=(n, 3)))
             p = int(rng.integers(1, n * (n - 1) // 2 + 1))
             tri = sorted(d[i, j] for i in range(n) for j in range(i + 1, n))
-            assert cluster.select_epsilon(d, p) == pytest.approx(
+            assert cluster.select_epsilon(all_pairs(d), p) == pytest.approx(
                 np.mean(tri[:p]), abs=1e-12
             )
 
     def test_all_zero_warns(self):
-        values = np.zeros((4, 4))
+        jm = all_pairs(np.zeros((4, 4)))
         with pytest.warns(DegenerateGeometryWarning):
-            assert cluster.select_epsilon(values, 2) == 0.0
+            assert cluster.select_epsilon(jm, 2) == 0.0
 
     @pytest.mark.parametrize("p", [0, -3])
     def test_empty_pool_rejected(self, p):
@@ -165,22 +174,22 @@ class TestDbscan:
             np.zeros((5, 1)), np.full((5, 1), 100.0)
         ])
         d = metric.pairwise_sq_euclidean(pts)
-        labels = cluster.dbscan_fit(d, epsilon=1.0, ms=3)
+        labels = cluster.dbscan_fit(all_pairs(d), epsilon=1.0, ms=3)
         assert np.all(labels[:5] == 0)
         assert np.all(labels[5:] == 1)
 
     def test_isolated_point_is_noise(self):
         pts = np.array([[0.0], [0.1], [0.2], [50.0]])
         d = metric.pairwise_sq_euclidean(pts)
-        labels = cluster.dbscan_fit(d, epsilon=0.05, ms=3)
+        labels = cluster.dbscan_fit(all_pairs(d), epsilon=0.05, ms=3)
         assert labels[3] == cluster.NOISE
 
     def test_core_counts_self(self):
         # two points within eps of each other: each has 2 in range
-        d = np.array([[0.0, 0.5], [0.5, 0.0]])
-        labels = cluster.dbscan_fit(d, epsilon=1.0, ms=2)
+        jm = all_pairs([[0.0, 0.5], [0.5, 0.0]])
+        labels = cluster.dbscan_fit(jm, epsilon=1.0, ms=2)
         assert np.all(labels == 0)
-        labels = cluster.dbscan_fit(d, epsilon=1.0, ms=3)
+        labels = cluster.dbscan_fit(jm, epsilon=1.0, ms=3)
         assert np.all(labels == cluster.NOISE)
 
     def test_matches_oracle_co_membership(self):
@@ -191,7 +200,7 @@ class TestDbscan:
             d = metric.pairwise_sq_euclidean(pts)
             eps = float(rng.uniform(0.05, 2.0))
             ms = int(rng.integers(2, 6))
-            labels = cluster.dbscan_fit(d, eps, ms)
+            labels = cluster.dbscan_fit(all_pairs(d), eps, ms)
             assigned, noise, core = oracle_dbscan_partition(d, eps, ms)
             # core and noise sets must agree exactly
             got_noise = set(np.flatnonzero(labels == cluster.NOISE).tolist())
@@ -206,15 +215,15 @@ class TestDbscan:
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         pts = rng.normal(size=(40, 2))
-        d = metric.pairwise_sq_euclidean(pts)
-        a = cluster.dbscan_fit(d, 0.5, 3)
-        b = cluster.dbscan_fit(d, 0.5, 3)
+        jm = all_pairs(metric.pairwise_sq_euclidean(pts))
+        a = cluster.dbscan_fit(jm, 0.5, 3)
+        b = cluster.dbscan_fit(jm, 0.5, 3)
         assert np.array_equal(a, b)
 
     def test_labels_follow_ascending_first_appearance(self):
         pts = np.concatenate([np.full((4, 1), 10.0), np.zeros((4, 1))])
         d = metric.pairwise_sq_euclidean(pts)
-        labels = cluster.dbscan_fit(d, 1.0, 3)
+        labels = cluster.dbscan_fit(all_pairs(d), 1.0, 3)
         # the cluster containing point 0 must be labeled 0
         assert labels[0] == 0 and labels[4] == 1
 
@@ -226,7 +235,7 @@ class TestDbscan:
             d = metric.pairwise_sq_euclidean(pts)
             eps = float(rng.uniform(0.05, 2.0))
             ms = int(rng.integers(1, 6))
-            assert np.array_equal(cluster.dbscan_fit(d, eps, ms),
+            assert np.array_equal(cluster.dbscan_fit(all_pairs(d), eps, ms),
                                   reference_dbscan(d, eps, ms))
 
     def test_deep_scrambled_chain(self):
@@ -265,16 +274,14 @@ class TestDbscan:
 
     def test_negative_epsilon_counts_no_self(self):
         # below 0 not even the zero diagonal is within epsilon
-        d = np.zeros((3, 3))
         jm = edge_jaccard(3, [(0, 1)], [0.0])
-        for values in (d, jm, jm.values):
+        for values in (all_pairs(np.zeros((3, 3))), jm, all_pairs(jm.values)):
             labels = cluster.dbscan_fit(values, -0.5, 1)
             assert np.all(labels == cluster.NOISE)
 
     def test_epsilon_zero_coincident_points(self):
         # coincident points have distance 0 <= 0 and still cluster
-        d = np.zeros((5, 5))
-        labels = cluster.dbscan_fit(d, 0.0, 4)
+        labels = cluster.dbscan_fit(all_pairs(np.zeros((5, 5))), 0.0, 4)
         assert np.all(labels == 0)
 
 
@@ -310,8 +317,9 @@ class TestPseudoLabeledSet:
 
 
 class TestSparseMatchesDense:
-    """select_epsilon and dbscan_fit read a JaccardMatrix and its dense
-    `.values` alike."""
+    """Left-out pairs read as stored ones: select_epsilon and dbscan_fit
+    give a JaccardMatrix and `all_pairs(jm.values)`, which stores every
+    pair, the same results."""
 
     @settings(max_examples=60, deadline=None)
     @given(point_sets(), st.integers(1, 3000))
@@ -320,7 +328,7 @@ class TestSparseMatchesDense:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateGeometryWarning)
             sparse = cluster.select_epsilon(jm, p)
-            dense = cluster.select_epsilon(jm.values, p)
+            dense = cluster.select_epsilon(all_pairs(jm.values), p)
         assert sparse == dense
 
     @settings(max_examples=60, deadline=None)
@@ -335,5 +343,6 @@ class TestSparseMatchesDense:
             st.floats(0.0, 2.0)))
         dense = jm.values
         labels = cluster.dbscan_fit(jm, epsilon, ms)
-        assert np.array_equal(labels, cluster.dbscan_fit(dense, epsilon, ms))
+        assert np.array_equal(labels,
+                              cluster.dbscan_fit(all_pairs(dense), epsilon, ms))
         assert np.array_equal(labels, reference_dbscan(dense, epsilon, ms))

@@ -562,9 +562,10 @@ class TestEpisodeLoss:
     @pytest.mark.parametrize("kind", [losses.HARD_TRIPLET_KIND,
                                       losses.TRIPLET_KIND,
                                       losses.SOFT_MARGIN_KIND])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_through_round_objective(self, kind, row, value):
         # a non-finite row of the 3 x 4 block, whether or not a triplet
-        # picks it, must stop the step rather than rank or train on it
+        # picks it, must stop the step before any arithmetic on it warns
         fn, bounds = losses.episode_objective(kind, 3, 4, 1)
         emb = np.zeros((12, 2))
         emb[row, 1] = value

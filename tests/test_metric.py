@@ -41,7 +41,18 @@ def oracle_reciprocal(knn):
             for i in range(n)]
 
 
+def split_sets(reciprocal):
+    """The per-point sets of the (members, sizes) pair that
+    `metric.k_reciprocal_sets` returns."""
+    members, sizes = reciprocal
+    return np.split(members, np.cumsum(sizes)[:-1])
+
+
 def oracle_jaccard(reciprocal):
+    """Set-enumeration Jaccard distances of per-point sets, given as a list
+    or as the (members, sizes) pair of `metric.k_reciprocal_sets`."""
+    if isinstance(reciprocal, tuple):
+        reciprocal = split_sets(reciprocal)
     n = len(reciprocal)
     out = np.zeros((n, n))
     for i in range(n):
@@ -192,8 +203,9 @@ class TestReciprocal:
             points = rng.normal(size=(rng.integers(5, 40), 3))
             dist = metric.pairwise_sq_euclidean(points)
             knn = metric.knn_sets(dist, int(rng.integers(1, len(points) - 1)))
-            got = metric.k_reciprocal_sets(knn)
+            got = split_sets(metric.k_reciprocal_sets(knn))
             expected = oracle_reciprocal(knn)
+            assert len(got) == len(expected)
             for g, e in zip(got, expected):
                 assert np.array_equal(g, e)
 
@@ -201,7 +213,7 @@ class TestReciprocal:
         rng = np.random.default_rng(4)
         points = rng.normal(size=(25, 4))
         knn = metric.knn_sets(metric.pairwise_sq_euclidean(points), 5)
-        rec = metric.k_reciprocal_sets(knn)
+        rec = split_sets(metric.k_reciprocal_sets(knn))
         for i, r in enumerate(rec):
             for j in r:
                 assert i in rec[j]
@@ -229,7 +241,7 @@ class TestJaccard:
 
     def test_empty_reciprocal_sets(self):
         # no mutual neighbors anywhere: off-diagonal all 1
-        rec = [np.empty(0, dtype=np.intp) for _ in range(4)]
+        rec = (np.empty(0, dtype=np.intp), np.zeros(4, dtype=np.intp))
         v = metric.jaccard_matrix(rec).values
         assert np.all(np.diag(v) == 0.0)
         off = v[~np.eye(4, dtype=bool)]
@@ -252,6 +264,22 @@ class TestJaccard:
 
         with pytest.warns(DegenerateGeometryWarning):
             metric.build_jaccard(np.ones((6, 3)), 2)
+
+    def test_tiled_rows_warn_whatever_their_distances(self):
+        # |a|^2 + |b|^2 - 2ab leaves residues between equal rows (about
+        # 1e-10 at scale 100), so a check on the distances can stay silent
+        from uflst.errors import DegenerateGeometryWarning
+
+        rng = np.random.default_rng(14)
+        for scale in np.geomspace(0.1, 100.0, 20):
+            emb = np.tile(rng.normal(size=16) * scale, (50, 1))
+            with pytest.warns(DegenerateGeometryWarning, match="coincide"):
+                metric.build_jaccard(emb, 5)
+            moved = emb.copy()
+            moved[17, 3] += scale
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DegenerateGeometryWarning)
+                metric.build_jaccard(moved, 5)
 
     def test_permutation_consistency(self):
         rng = np.random.default_rng(7)
