@@ -6,18 +6,12 @@ found with array operations on that pair list."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import metric
-from .errors import (
-    ConfigError,
-    ContractViolationError,
-    DegenerateGeometryWarning,
-    EmptyClusteringError,
-)
+from .errors import ConfigError, ContractViolationError, EmptyClusteringError
 
 NOISE = -1
 
@@ -62,17 +56,11 @@ class PseudoLabeledSet:
 def select_epsilon(jm, p):
     """Mean of the P smallest upper-triangle distances of the JaccardMatrix
     `jm`, the pairs it leaves out counted at 1."""
-    if p < 1:
-        raise ContractViolationError(f"epsilon needs p >= 1 pairs, got p={p}")
     if jm.n < 2:
         raise EmptyClusteringError("need at least two points to select epsilon")
+    if p < 1:
+        raise ContractViolationError(f"epsilon needs p >= 1 pairs, got p={p}")
     n_pairs = jm.n * (jm.n - 1) // 2
-    if jm.dist.size == n_pairs and not np.any(jm.dist):
-        warnings.warn(
-            "all pairwise distances are zero; epsilon degenerates to 0",
-            DegenerateGeometryWarning,
-        )
-        return 0.0
     pool = np.sort(jm.dist)[: min(p, n_pairs)]
     # the left-out pairs at 1 sort after every stored distance
     pool = np.concatenate([pool, np.ones(min(p, n_pairs) - pool.size)])

@@ -8,24 +8,23 @@ embeds the flattened block and its loss reads the embeddings back as an
 once, gathers each block from them and reads it by its shape alone.
 
 An episode draws n_c distinct classes uniformly, then n_e distinct members
-of each in random order, then the ranks of its random triplets, if any.
-Every draw reads the 32-bit outputs of a numpy `Generator` in order (the
-low half of each 64-bit output first): a draw in [0, hi] is
-`(u * (hi + 1)) >> 32` for the next output u, and hi = 0 takes no output.
-A sample of `size` distinct values of range(pop) is Floyd's algorithm
-(Bentley & Floyd, CACM 1987) and then a Fisher-Yates shuffle of the result.
-`sample_episodes` draws `CHUNK` episodes at a time from one block of
-outputs read ahead, into preallocated output arrays, and then advances the
-generator by exactly the outputs they used.
+of each in random order.  Every draw reads the 32-bit outputs of a numpy
+`Generator` in order (the low half of each 64-bit output first): a draw
+in [0, hi] is `(u * (hi + 1)) >> 32` for the next output u, and hi = 0
+takes no output.  A sample of `size` distinct values of range(pop) is
+Floyd's algorithm (Bentley & Floyd, CACM 1987) and then a Fisher-Yates
+shuffle of the result.  `sample_episodes` draws `CHUNK` episodes at a
+time from one block of outputs read ahead, into a preallocated array, and
+then advances the generator by exactly the outputs they used.
 
-The draws read the outputs that 1 + n_c `Generator.choice(pop, n,
-replace=False)` calls and one `Generator.integers(0, bounds)` call per
-episode would, for populations up to 10,000, and give the same values
-except where numpy would reject an output and draw another.  That is
-Lemire's bounded draw (ACM TOMACS 2019) without its rejection step: each
-value of [0, hi] takes floor or ceil of 2**32 / (hi + 1) of the outputs,
-so its probability is off by at most (hi + 1) / 2**32 relative.  A span is
-at most the number of points N: below 1e-6 at N = 4,000.
+The draws read the outputs that an episode's 1 + n_c
+`Generator.choice(pop, n, replace=False)` calls would, for populations up
+to 10,000, and give the same values except where numpy would reject an
+output and draw another.  That is Lemire's bounded draw (ACM TOMACS 2019)
+without its rejection step: each value of [0, hi] takes floor or ceil of
+2**32 / (hi + 1) of the outputs, so its probability is off by at most
+(hi + 1) / 2**32 relative.  A span is at most the number of points N:
+below 1e-6 at N = 4,000.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolationError, EpisodeInfeasibleError
+from .errors import ConfigError, EpisodeInfeasibleError
 
 PROTOTYPE = "prototype"
 TRIPLET = "triplet"
@@ -82,14 +81,12 @@ def sample_episode(members, n_c, n_e, rng):
     from `members` (one index array per class), then n_e distinct members
     of each.  Row c holds class c; in prototype mode its first n_s columns
     are the support and the rest the query."""
-    return sample_episodes(members, n_c, n_e, 1, rng)[0][0]
+    return sample_episodes(members, n_c, n_e, 1, rng)[0]
 
 
-def sample_episodes(members, n_c, n_e, count, rng, bounds=()):
+def sample_episodes(members, n_c, n_e, count, rng):
     """`count` (n_c, n_e) episode blocks, as `sample_episode` draws them
-    one after another, and with each its ranks: one draw in [0, b) per
-    bound b >= 1 of `bounds`.  Returns the (count, n_c, n_e) blocks and the
-    (count, *bounds.shape) int64 ranks."""
+    one after another: one (count, n_c, n_e) array."""
     if len(members) < n_c:
         raise EpisodeInfeasibleError(
             f"{len(members)} eligible classes < way {n_c}"
@@ -99,28 +96,21 @@ def sample_episodes(members, n_c, n_e, count, rng, bounds=()):
         raise EpisodeInfeasibleError(
             f"a class of {sizes.min()} members < {n_e} examples per class"
         )
-    bounds = np.asarray(bounds, dtype=np.int64)
-    if bounds.size and bounds.min() < 1:
-        raise ContractViolationError(
-            f"a rank bound must be >= 1, got {bounds.min()}")
     flat = np.concatenate(members)
     blocks = np.empty((count, n_c, n_e), dtype=flat.dtype)
-    ranks = np.empty((count, *bounds.shape), dtype=np.int64)
     for done in range(0, count, CHUNK):
-        _draw_chunk(sizes, flat, n_c, n_e, rng, bounds,
-                    blocks[done:done + CHUNK], ranks[done:done + CHUNK])
-    return blocks, ranks
+        _draw_chunk(sizes, flat, n_c, n_e, rng, blocks[done:done + CHUNK])
+    return blocks
 
 
-def _draw_chunk(sizes, flat, n_c, n_e, rng, bounds, blocks, ranks):
-    """Fill one chunk of `blocks` and `ranks` from one block of outputs
-    read ahead, for classes of `sizes` members laid end to end in `flat`:
-    each episode's classes in scalar Python (the next one starts where
-    this one's draws end), then all member rows and ranks at once."""
+def _draw_chunk(sizes, flat, n_c, n_e, rng, blocks):
+    """Fill one chunk of `blocks` from one block of outputs read ahead, for
+    classes of `sizes` members laid end to end in `flat`: each episode's
+    classes in scalar Python (the next one starts where this one's draws
+    end), then all member rows at once."""
     count = len(blocks)
     class_outputs = int(_choice_outputs(sizes.size, n_c))
-    taken = (bounds > 1).ravel()   # a bound of 1 takes no output
-    outputs = class_outputs + n_c * (2 * n_e - 1) + int(taken.sum())
+    outputs = class_outputs + n_c * (2 * n_e - 1)
     state = rng.bit_generator.state
     u = rng.integers(0, _U32, size=count * outputs, dtype=np.uint32)
     full = (sizes == n_e).tolist()
@@ -140,10 +130,6 @@ def _draw_chunk(sizes, flat, n_c, n_e, rng, bounds, blocks, ranks):
     used = _choice_outputs(pop, n_e)
     start = first_row[:, None] + np.cumsum(used, axis=1) - used
     picks = _choice_rows(u, start.ravel(), pop.ravel(), n_e)
-    # an episode's ranks follow its last row's draws; a bound of 1 reads
-    # an output before its draw and ignores it
-    at_rank = start[:, -1:] + used[:, -1:] + np.cumsum(taken) - 1
-    ranks[:] = _bounded(u[at_rank], bounds.ravel() - 1).reshape(ranks.shape)
     offsets = (np.cumsum(sizes) - sizes)[chosen].reshape(-1, 1)
     blocks[:] = flat[offsets + picks].reshape(blocks.shape)
 

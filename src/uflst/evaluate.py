@@ -98,8 +98,7 @@ def few_shot_accuracy(params, features, labels, protocol, n_episodes, rng):
     features = np.asarray(features, dtype=np.float64)
     members = eval_members(params, features, labels, protocol)
     way, per_class = protocol.n_c_test, protocol.n_s + protocol.n_q
-    blocks, _ = episodes.sample_episodes(members, way, per_class, n_episodes,
-                                         rng)
+    blocks = episodes.sample_episodes(members, way, per_class, n_episodes, rng)
     drawn = np.zeros(len(features), dtype=bool)
     drawn[blocks] = True
     emb, _ = network.forward(params, features[drawn])

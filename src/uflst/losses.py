@@ -4,7 +4,8 @@ All losses return (scalar, d_loss/d_embeddings) so the encoder backward
 pass can chain them; distances are raw squared Euclidean throughout.
 `episode_objective` fixes a round's loss for its episode block shape,
 with the bounds of the ranks it reads.  No loss draws: random triplets
-read ranks drawn by `episodes.sample_episodes`.
+read ranks that training draws for the whole round in one
+`Generator.integers(0, bounds)` call after the round's episodes.
 
 Training hands an objective embeddings that live in the round's
 `network.Workspace`, valid only until the next step's forward, so every
@@ -180,7 +181,7 @@ def episode_objective(kind, n_c, n_e, n_s):
     bounds of the ranks it reads: (fn, bounds).
 
     `fn(emb, ranks)` gives (loss, grad) for one block, `ranks` holding one
-    draw in [0, b) per bound b (`episodes.sample_episodes`).  Row
+    draw in [0, b) per bound b, as `Generator.integers(0, bounds)`.  Row
     c * n_e + j is member j of class c, its first n_s columns the support.
     `emb` need only stay valid during the call (training passes its
     workspace's embeddings), and `grad` is a new array of `emb`'s shape.

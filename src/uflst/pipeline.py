@@ -154,12 +154,13 @@ def run_episodic_phase(params, features, pl, config, rng):
     n_kept = int(pl.kept_indices.size)
     batches_per_epoch = max(1, math.ceil(n_kept / (way * cfg.n_e)))
     total = config.epochs_per_round * batches_per_epoch
-    # one objective for the round's block shape, and one batch from `rng`:
-    # every block with the ranks the objective reads
+    # one objective for the round's block shape; from `rng`, every block
+    # and then, in one call, every episode's ranks (none for the kinds
+    # whose bounds are empty, which takes no output)
     objective, bounds = losses.episode_objective(config.loss.kind, way,
                                                  cfg.n_e, cfg.n_s)
-    blocks, ranks = episodes.sample_episodes(members, way, cfg.n_e, total,
-                                             rng, bounds)
+    blocks = episodes.sample_episodes(members, way, cfg.n_e, total, rng)
+    ranks = rng.integers(0, bounds, size=(total, *np.shape(bounds)))
     # one workspace for every step: each step's embeddings and gradient
     # are read before the next step overwrites them
     ws = network.Workspace(params.dims, way * cfg.n_e)

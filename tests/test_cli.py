@@ -343,6 +343,20 @@ class TestBadRunInputs:
         assert_stopped_before_any_round(code, lines, run_dir)
 
 
+class TestTooFewPoints:
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_exits_1_naming_the_point_count(self, tmp_path, capsys, n):
+        # with p_count > 0, P is capped at the N(N-1)/2 = 0 pairs
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        data.save_raw64(str(data_dir / "train.raw64"), np.zeros((n, 3)))
+        assert run_cli(["train", "--data", str(data_dir), "--run-dir",
+                        str(tmp_path / "run"), "rounds=1",
+                        "dbscan.p_count=5"]) == 1
+        assert capsys.readouterr().err == (
+            "uflst: error: need at least two points to select epsilon\n")
+
+
 class TestResumeGuards:
     """`--resume` stops before any round when the checkpoint cannot
     continue the configured run."""

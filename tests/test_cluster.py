@@ -6,11 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uflst import cluster, metric
-from uflst.errors import (
-    ContractViolationError,
-    DegenerateGeometryWarning,
-    EmptyClusteringError,
-)
+from uflst.errors import ContractViolationError, EmptyClusteringError
 
 from test_metric import point_sets, sparse_jaccard
 
@@ -143,10 +139,13 @@ class TestEpsilon:
                 np.mean(tri[:p]), abs=1e-12
             )
 
-    def test_all_zero_warns(self):
-        jm = all_pairs(np.zeros((4, 4)))
-        with pytest.warns(DegenerateGeometryWarning):
-            assert cluster.select_epsilon(jm, 2) == 0.0
+    @pytest.mark.parametrize("p", [0, 1, 5])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_points_rejected(self, n, p):
+        # resolve_p caps P at the N(N-1)/2 = 0 pairs, so the point count,
+        # not P, is what to report
+        with pytest.raises(EmptyClusteringError, match="two points"):
+            cluster.select_epsilon(all_pairs(np.zeros((n, n))), p)
 
     @pytest.mark.parametrize("p", [0, -3])
     def test_empty_pool_rejected(self, p):
@@ -325,10 +324,8 @@ class TestSparseMatchesDense:
     @given(point_sets(), st.integers(1, 3000))
     def test_select_epsilon(self, case, p):
         jm = sparse_jaccard(*case)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateGeometryWarning)
-            sparse = cluster.select_epsilon(jm, p)
-            dense = cluster.select_epsilon(all_pairs(jm.values), p)
+        sparse = cluster.select_epsilon(jm, p)
+        dense = cluster.select_epsilon(all_pairs(jm.values), p)
         assert sparse == dense
 
     @settings(max_examples=60, deadline=None)

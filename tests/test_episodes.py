@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from uflst import cluster, episodes, losses
-from uflst.errors import ContractViolationError, EpisodeInfeasibleError
+from uflst import cluster, episodes
+from uflst.errors import EpisodeInfeasibleError
 
 
 def make_pl(class_sizes):
@@ -23,7 +23,7 @@ def make_pl(class_sizes):
 
 def one_episode(members, n_c, n_e, rng):
     """One (n_c, n_e) block, drawn as a batch of one."""
-    return episodes.sample_episodes(members, n_c, n_e, 1, rng)[0][0]
+    return episodes.sample_episodes(members, n_c, n_e, 1, rng)[0]
 
 
 def reference_sample_episode(members, n_c, n_e, rng):
@@ -38,14 +38,10 @@ def reference_sample_episode(members, n_c, n_e, rng):
                      for c in chosen])
 
 
-def reference_episodes(members, n_c, n_e, count, rng, bounds=()):
-    """`count` reference episodes, each followed by one
-    `rng.integers(0, bounds)` call: the stacked blocks and draws."""
-    blocks, ranks = [], []
-    for _ in range(count):
-        blocks.append(reference_sample_episode(members, n_c, n_e, rng))
-        ranks.append(rng.integers(0, bounds))
-    return np.stack(blocks), np.stack(ranks)
+def reference_episodes(members, n_c, n_e, count, rng):
+    """`count` reference episodes, stacked."""
+    return np.stack([reference_sample_episode(members, n_c, n_e, rng)
+                     for _ in range(count)])
 
 
 def rng_pair(seed, buffered=False):
@@ -81,14 +77,7 @@ def sampling_cases(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     perm = np.random.default_rng(seed).permutation(sum(sizes))
     members = np.split(perm, np.cumsum(sizes)[:-1])
-    # the random-triplet bounds of this block shape (a positive bound of 1
-    # at n_e = 2; none at n_e = 1, which has no positive), or any bounds
-    triplet_bounds = (losses.episode_objective(losses.TRIPLET_KIND, n_c, n_e,
-                                               1)[1] if n_e > 1 else ())
-    bounds = draw(st.one_of(
-        st.just(()), st.just(triplet_bounds),
-        st.lists(st.sampled_from([1, 2, 3, 1000]), max_size=6)))
-    return members, n_c, n_e, count, seed, draw(st.booleans()), bounds
+    return members, n_c, n_e, count, seed, draw(st.booleans())
 
 
 class TestConfig:
@@ -177,9 +166,9 @@ class TestSampling:
 
 
 class TestBatchMatchesLoop:
-    """`sample_episodes` against looping `reference_sample_episode` and
-    `integers(0, bounds)`: the same blocks, the same draws and the same
-    generator state after them, wherever numpy rejects no output.
+    """`sample_episodes` against looping `reference_sample_episode`: the
+    same blocks and the same generator state after them, wherever numpy
+    rejects no output.
 
     numpy rejects an output of a span s with probability (2**32 % s) / 2**32,
     roughly once in 1,500 runs of 150 random cases; the cases are
@@ -188,21 +177,15 @@ class TestBatchMatchesLoop:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(sampling_cases())
     # every class exactly n_e members, way equal to the class count, a
-    # count past one chunk and a buffered half-word; then n_e = 1; then
-    # random-triplet bounds with a bound of 1
-    @example((np.split(np.arange(12), 3), 3, 4, episodes.CHUNK + 1, 5, True,
-              ()))
-    @example((np.split(np.arange(15), 5), 2, 1, 3, 6, False, ()))
-    @example((np.split(np.arange(30), 5), 4, 2, episodes.CHUNK + 1, 7, True,
-              losses.episode_objective(losses.TRIPLET_KIND, 4, 2, 1)[1]))
+    # count past one chunk and a buffered half-word; then n_e = 1
+    @example((np.split(np.arange(12), 3), 3, 4, episodes.CHUNK + 1, 5, True))
+    @example((np.split(np.arange(15), 5), 2, 1, 3, 6, False))
     def test_blocks_and_state(self, case):
-        members, n_c, n_e, count, seed, buffered, bounds = case
+        members, n_c, n_e, count, seed, buffered = case
         batch_rng, loop_rng = rng_pair(seed, buffered)
-        got = episodes.sample_episodes(members, n_c, n_e, count, batch_rng,
-                                       bounds)
-        want = reference_episodes(members, n_c, n_e, count, loop_rng, bounds)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and np.array_equal(g, w)
+        got = episodes.sample_episodes(members, n_c, n_e, count, batch_rng)
+        want = reference_episodes(members, n_c, n_e, count, loop_rng)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
         assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
@@ -215,12 +198,10 @@ class TestOneSampler:
         members = np.split(np.arange(37), [4, 10, 17, 25])
         batch_rng, single_rng = rng_pair(11, buffered=True)
         count = episodes.CHUNK + 5
-        blocks, ranks = episodes.sample_episodes(members, 3, 4, count,
-                                                 batch_rng)
+        blocks = episodes.sample_episodes(members, 3, 4, count, batch_rng)
         singles = [one_episode(members, 3, 4, single_rng)
                    for _ in range(count)]
         assert np.array_equal(blocks, np.stack(singles))
-        assert ranks.shape == (count, 0)
         assert batch_rng.bit_generator.state == single_rng.bit_generator.state
 
     def test_output_numpy_rejects_still_draws(self):
@@ -243,16 +224,6 @@ class TestOneSampler:
             episodes.sample_episodes(members, 2, 4, 10,
                                      np.random.default_rng(0))
 
-    @pytest.mark.parametrize("bad", [0, -2])
-    def test_empty_rank_range_raises(self, bad):
-        # numpy's integers(0, b) rejects b < 1; so does the sampler, rather
-        # than return rank 0 or a value near 2**32
-        members = np.split(np.arange(12), 3)
-        with pytest.raises(ContractViolationError, match=f"got {bad}"):
-            episodes.sample_episodes(members, 2, 2, 3,
-                                     np.random.default_rng(0),
-                                     bounds=[3, bad, 1])
-
     def test_uniform_on_tiny_populations(self):
         # 3 classes of 3 members, 2-way, n_e = 2: an episode is an ordered
         # class pair and, in each row, an ordered (support, query) member
@@ -261,8 +232,8 @@ class TestOneSampler:
         # within 5 standard deviations of its mean.
         members = np.split(np.arange(9), 3)
         outcomes, count = 216, 216 * 200
-        blocks, _ = episodes.sample_episodes(members, 2, 2, count,
-                                             np.random.default_rng(2019))
+        blocks = episodes.sample_episodes(members, 2, 2, count,
+                                          np.random.default_rng(2019))
         classes = blocks // 3
         assert np.all(classes[:, :, 0] == classes[:, :, 1])
         assert np.all(classes[:, 0, 0] != classes[:, 1, 0])

@@ -96,8 +96,8 @@ def reference_few_shot_accuracy(params, features, labels, protocol,
     members = evaluate.eval_members(params, features, labels, protocol)
     way, per_class = protocol.n_c_test, protocol.n_s + protocol.n_q
     classes, support = flat_layout(way, per_class, protocol.n_s)
-    blocks, _ = episodes.sample_episodes(members, way, per_class, n_episodes,
-                                         rng)
+    blocks = episodes.sample_episodes(members, way, per_class, n_episodes,
+                                      rng)
     accs = []
     for block in blocks:
         emb, _ = network.forward(params, features[block.ravel()])
@@ -267,8 +267,8 @@ class TestFewShotAccuracy:
         proto = episodes.EpisodeConfig(n_c_test=3, n_s=1, n_q=3)
         p = self.identity_params(4)
         members = evaluate.eval_members(p, feats, labels, proto)
-        blocks, _ = episodes.sample_episodes(members, 3, 4, 2,
-                                             np.random.default_rng(9))
+        blocks = episodes.sample_episodes(members, 3, 4, 2,
+                                          np.random.default_rng(9))
         undrawn = np.setdiff1d(np.concatenate(members), blocks)
         feats[-1, 0] = np.nan          # in the ineligible class
         feats[undrawn[0], 1] = np.inf  # eligible but in no episode

@@ -281,6 +281,26 @@ class TestJaccard:
                 warnings.simplefilter("error", DegenerateGeometryWarning)
                 metric.build_jaccard(moved, 5)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 12), st.integers(1, 3), st.integers(1, 13),
+           st.sampled_from(["random", "tiled", "grid"]),
+           st.integers(0, 2**32 - 1))
+    def test_never_stores_every_pair_at_zero(self, n, dim, k, layout, seed):
+        # a stored pair at 0 has R_a = R_b; were every pair stored at 0,
+        # every R would be one set S, and any m in S would lie in R_m = S,
+        # which the self-exclusion of knn_sets rules out
+        rng = np.random.default_rng(seed)
+        if layout == "random":
+            points = rng.normal(size=(n, dim))
+        elif layout == "tiled":
+            points = np.tile(rng.normal(size=dim), (n, 1))
+        else:
+            points = rng.integers(-1, 2, size=(n, dim)).astype(np.float64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            jm = metric.build_jaccard(points, k)
+        assert jm.dist.size < n * (n - 1) // 2 or np.any(jm.dist)
+
     def test_permutation_consistency(self):
         rng = np.random.default_rng(7)
         points = rng.normal(size=(20, 3))

@@ -200,6 +200,51 @@ class TestEpisodicPhase:
                                     np.random.default_rng(0))
         assert not np.array_equal(params.weights[0], before.weights[0])
 
+    @pytest.mark.parametrize("kind", losses.LOSS_KINDS)
+    def test_ranks_come_after_the_blocks_in_one_call(self, kind,
+                                                     monkeypatch):
+        # `twin` takes the generator's state as the sampler leaves it: the
+        # ranks the objective reads are its one `integers(0, bounds)` call,
+        # and the kinds that read no ranks draw nothing more
+        train, _ = small_dataset()
+        cfg = small_config()
+        cfg.loss.kind = kind
+        if kind == losses.PROTOTYPE_KIND:
+            cfg.episode = episodes.EpisodeConfig(
+                n_c_train=4, n_c_test=3, n_e=4, n_s=1, n_q=3,
+                mode=episodes.PROTOTYPE)
+        params = network.init_params(cfg.layer_dims(train.dim), seed=0)
+        rng, twin = np.random.default_rng(3), np.random.default_rng()
+        sample, objective = episodes.sample_episodes, losses.episode_objective
+        bounds, seen = [], []
+
+        def sampled(*args, **kwargs):
+            blocks = sample(*args, **kwargs)
+            twin.bit_generator.state = rng.bit_generator.state
+            return blocks
+
+        def spied(*args):
+            fn, round_bounds = objective(*args)
+            bounds.append(round_bounds)
+
+            def recorded(emb, ranks):
+                seen.append(np.array(ranks))
+                return fn(emb, ranks)
+            return recorded, round_bounds
+
+        monkeypatch.setattr(episodes, "sample_episodes", sampled)
+        monkeypatch.setattr(losses, "episode_objective", spied)
+        total = pipeline.run_episodic_phase(params, train.features,
+                                            self.make_pl([12] * 6), cfg,
+                                            rng)[3]
+        if kind in (losses.TRIPLET_KIND, losses.SOFT_MARGIN_KIND):
+            want = twin.integers(0, bounds[0],
+                                 size=(total, *bounds[0].shape))
+            assert np.array_equal(np.stack(seen), want)
+        else:
+            assert bounds == [()] and np.stack(seen).shape == (total, 0)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
 
 class TestRunTraining:
     def test_full_loop_history(self, tmp_path):
@@ -328,16 +373,12 @@ class TestRunTraining:
 
 class TestBatchedSamplingBytes:
     """Training with `episodes.sample_episodes` writes the same bytes as
-    drawing every episode with `Generator.choice` calls, each followed by
-    the random-triplet `Generator.integers(0, bounds)` call."""
+    drawing every episode with `Generator.choice` calls."""
 
     @staticmethod
-    def looped(members, n_c, n_e, count, rng, bounds=()):
-        blocks, ranks = [], []
-        for _ in range(count):
-            blocks.append(reference_sample_episode(members, n_c, n_e, rng))
-            ranks.append(rng.integers(0, bounds))
-        return np.stack(blocks), np.stack(ranks)
+    def looped(members, n_c, n_e, count, rng):
+        return np.stack([reference_sample_episode(members, n_c, n_e, rng)
+                         for _ in range(count)])
 
     @pytest.mark.parametrize("kind", losses.LOSS_KINDS)
     def test_run_matches_choice_loop(self, kind, tmp_path, monkeypatch):
