@@ -171,15 +171,11 @@ def _gradcheck_loss(kind, emb0):
         fn, _ = losses.episode_objective(losses.PROTOTYPE_KIND, 3, 3, 1)
         return lambda emb: fn(emb, ())
     _, p, n, _ = losses.mine_hard_triplets(emb0.reshape(3, 3, -1))
-    if kind == "triplet_hinge":
-        _, _, pre = losses.triplet_pre_activation(emb0, emb0[p], emb0[n],
-                                                  losses.TRIPLET_MARGIN)
-        if np.any(np.abs(pre) < 1e-1):
-            return None
-        fn = losses.triplet_hinge_loss
-    else:
-        fn = losses.triplet_soft_margin_loss
-    return lambda emb: losses.indexed_triplet_loss(fn, emb, p, n)
+    soft = kind == "triplet_soft_margin"
+    pre = losses.triplet_pre_activation(emb0, p, n)[2]
+    if not soft and np.any(np.abs(pre) < 1e-1):
+        return None
+    return lambda emb: losses.triplet_loss(emb, p, n, soft)
 
 
 GRADCHECK_TOL = 1e-4   # a loss passes when its worst relative error is below

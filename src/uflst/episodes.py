@@ -65,12 +65,6 @@ class EpisodeConfig:
             raise ConfigError(f"unknown episode mode {self.mode!r}")
 
 
-def hard_triplet_preset():
-    """32 classes x 4 examples per episode, 5-way 1-shot test protocol:
-    the EpisodeConfig defaults."""
-    return EpisodeConfig()
-
-
 def eligible_members(members, n_e):
     """The member arrays, in order, of the classes with at least n_e members."""
     return [m for m in members if m.size >= n_e]

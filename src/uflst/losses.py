@@ -1,6 +1,7 @@
 """Training objectives over episode embeddings.
 
-All losses return (scalar, d_loss/d_embeddings) so the encoder backward
+`prototype_loss` and `triplet_loss`, the hinge or soft margin of all three
+triplet kinds, return (scalar, d_loss/d_embeddings) so the encoder backward
 pass can chain them; distances are raw squared Euclidean throughout.
 `episode_objective` fixes a round's loss for its episode block shape,
 with the bounds of the ranks it reads.  No loss draws: random triplets
@@ -94,46 +95,39 @@ def prototype_loss(blocks, n_s):
     return loss, grad
 
 
-def triplet_pre_activation(anchor, positive, negative, margin):
-    """(a - p, a - n, d(a,p) - d(a,n) + m) per triplet row."""
-    anchor = np.atleast_2d(np.asarray(anchor, dtype=np.float64))
-    positive = np.atleast_2d(np.asarray(positive, dtype=np.float64))
-    negative = np.atleast_2d(np.asarray(negative, dtype=np.float64))
-    if not (np.all(np.isfinite(anchor)) and np.all(np.isfinite(positive))
-            and np.all(np.isfinite(negative))):
-        raise InputError("triplet embeddings contain non-finite values")
-    dp = anchor - positive
-    dn = anchor - negative
-    pre = np.sum(dp * dp, axis=1) - np.sum(dn * dn, axis=1) + margin
-    return dp, dn, pre
+def triplet_pre_activation(emb, p, n):
+    """(a - p, a - n, d(a,p) - d(a,n) + TRIPLET_MARGIN) for the triplets
+    (i, p[i], n[i]) of the rows i of `emb`."""
+    dp = emb - emb[p]
+    dn = emb - emb[n]
+    return dp, dn, (np.sum(dp * dp, axis=1) - np.sum(dn * dn, axis=1)
+                    + TRIPLET_MARGIN)
 
 
-def triplet_hinge_loss(anchor, positive, negative, margin):
-    """max(0, d(a,p) - d(a,n) + m), averaged over the triplet batch.
+def triplet_loss(emb, p, n, soft=False):
+    """The hinge max(0, pre), or with `soft` the soft margin log(1 +
+    exp(pre)), overflow-safe in both directions, averaged over the
+    triplets (i, p[i], n[i]) of the rows i of `emb`; the gradient is
+    scattered onto those rows.
 
-    The inactive region (including the kink itself) contributes zero
-    gradient.
+    The hinge's inactive region, its kink included, has zero gradient;
+    `+ 0.0` makes an anchor's -0.0 the +0.0 of adding into zeros.
     """
-    dp, dn, pre = triplet_pre_activation(anchor, positive, negative, margin)
+    if not np.all(np.isfinite(emb)):
+        raise InputError("triplet embeddings contain non-finite values")
+    dp, dn, pre = triplet_pre_activation(emb, p, n)
     t = pre.shape[0]
-    active = pre > 0
-    loss = float(np.sum(pre[active]) / t) if np.any(active) else 0.0
-    return loss, _triplet_grads(dp, dn, active.astype(np.float64)[:, None] / t)
-
-
-def triplet_soft_margin_loss(anchor, positive, negative, margin):
-    """log(1 + exp(pre-activation)), overflow-safe in both directions."""
-    dp, dn, pre = triplet_pre_activation(anchor, positive, negative, margin)
-    t = pre.shape[0]
-    loss = float(np.mean(np.logaddexp(0.0, pre)))
-    sigma = 0.5 * (1.0 + np.tanh(0.5 * pre))
-    return loss, _triplet_grads(dp, dn, sigma[:, None] / t)
-
-
-def _triplet_grads(dp, dn, scale):
-    """Anchor, positive and negative gradients of a triplet loss whose
-    derivative in the pre-activation is `scale` per row."""
-    return scale * 2.0 * (dp - dn), scale * (-2.0) * dp, scale * 2.0 * dn
+    if soft:
+        loss = float(np.mean(np.logaddexp(0.0, pre)))
+        scale = 0.5 * (1.0 + np.tanh(0.5 * pre))[:, None] / t
+    else:
+        active = pre > 0
+        loss = float(np.sum(pre[active]) / t)
+        scale = active.astype(np.float64)[:, None] / t
+    grad = scale * 2.0 * (dp - dn) + 0.0
+    np.add.at(grad, p, scale * (-2.0) * dp)
+    np.add.at(grad, n, scale * 2.0 * dn)
+    return loss, grad
 
 
 @dataclass
@@ -187,9 +181,10 @@ def episode_objective(kind, n_c, n_e, n_s):
     workspace's embeddings), and `grad` is a new array of `emb`'s shape.
     The triplet kinds make every row an anchor (n_e >= 2); the random
     kinds' (positive, negative) ranks pick among its candidates in
-    ascending index order.  The prototype and hard kinds read no ranks
-    and pass `emb`, as an (n_c, n_e, D) block view, to `prototype_loss`
-    and `mine_hard_triplets` through this module's globals per episode.
+    ascending index order, and the hard kind is the hinge.  The prototype
+    and hard kinds read no ranks.  Each episode calls `prototype_loss` or
+    `mine_hard_triplets`, on `emb` as an (n_c, n_e, D) block view, and
+    `triplet_loss` through this module's globals.
     """
     if n_c < 2:
         raise ContractViolationError("an episode needs at least 2 classes")
@@ -200,12 +195,10 @@ def episode_objective(kind, n_c, n_e, n_s):
         return proto, ()
     if n_e < 2:
         raise ContractViolationError(f"triplets need n_e >= 2, got {n_e}")
-    fn = (triplet_soft_margin_loss if kind == SOFT_MARGIN_KIND
-          else triplet_hinge_loss)
     if kind == HARD_TRIPLET_KIND:
         def hard(emb, ranks):
             _, p, n, _ = mine_hard_triplets(np.reshape(emb, (n_c, n_e, -1)))
-            return indexed_triplet_loss(fn, emb, p, n)
+            return triplet_loss(emb, p, n)
         return hard, ()
 
     # an anchor's positives are its class's other rows and its negatives
@@ -214,21 +207,12 @@ def episode_objective(kind, n_c, n_e, n_s):
     anchors = np.arange(n_c * n_e)
     j = anchors % n_e
     first = anchors - j
+    soft = kind == SOFT_MARGIN_KIND
 
     def drawn(emb, ranks):
         p, q = ranks[:, 0], ranks[:, 1]
-        return indexed_triplet_loss(fn, emb, first + p + (p >= j),
-                                    q + n_e * (q >= first))
+        return triplet_loss(emb, first + p + (p >= j),
+                            q + n_e * (q >= first), soft)
     return drawn, np.full((n_c * n_e, 2), [n_e - 1, (n_c - 1) * n_e],
                           dtype=np.int64)
 
-
-def indexed_triplet_loss(fn, emb, p, n):
-    """A triplet loss `fn` at TRIPLET_MARGIN over the triplets (i, p[i],
-    n[i]) of each row i of `emb`, with the gradients scattered onto its
-    rows; `+ 0.0` makes an anchor's -0.0 the +0.0 of adding into zeros."""
-    loss, (ga, gp, gn) = fn(emb, emb[p], emb[n], TRIPLET_MARGIN)
-    grad = ga + 0.0
-    np.add.at(grad, p, gp)
-    np.add.at(grad, n, gn)
-    return loss, grad

@@ -39,7 +39,7 @@ class TrainConfig:
     eval_episodes: int = 100
     optimizer: network.OptimizerConfig = field(default_factory=network.OptimizerConfig)
     dbscan: cluster.DbscanConfig = field(default_factory=cluster.DbscanConfig)
-    episode: episodes.EpisodeConfig = field(default_factory=episodes.hard_triplet_preset)
+    episode: episodes.EpisodeConfig = field(default_factory=episodes.EpisodeConfig)
     loss: losses.LossConfig = field(default_factory=losses.LossConfig)
 
     def validate(self):
@@ -70,7 +70,6 @@ class RoundInfo:
     fallback_rungs: list
     way_used: int
     episodes_run: int
-    trained: bool
 
 
 @dataclass
@@ -229,7 +228,7 @@ def run_training(config, dataset, eval_dataset=None, run_dir=None,
             )
         except RoundFailedError as exc:
             log.error("round %d failed: %s", t, exc)
-            round_infos.append(RoundInfo(t, math.nan, ["exhausted"], 0, 0, False))
+            round_infos.append(RoundInfo(t, math.nan, ["exhausted"], 0, 0))
             status = "aborted"
             break
 
@@ -241,8 +240,7 @@ def run_training(config, dataset, eval_dataset=None, run_dir=None,
         params, mean_loss, way, n_episodes = run_episodic_phase(
             params, features, pl, config, train_rng
         )
-        round_infos.append(RoundInfo(t, epsilon, rungs, way, n_episodes,
-                                     n_episodes > 0))
+        round_infos.append(RoundInfo(t, epsilon, rungs, way, n_episodes))
 
         acc_mean = acc_std = math.nan
         if evaluating:

@@ -64,7 +64,7 @@ def behavioral_config(loss_kind=losses.HARD_TRIPLET_KIND):
         eval_episodes=1000,
         optimizer=network.OptimizerConfig(learning_rate=0.0015),
         dbscan=cluster.DbscanConfig(ms=4, p_fraction=0.035),
-        episode=episodes.hard_triplet_preset(),
+        episode=episodes.EpisodeConfig(),
         loss=losses.LossConfig(kind=loss_kind),
     )
 
@@ -182,20 +182,20 @@ class TestLossLandmarks:
             errs.append(abs(loss - math.log(k)))
         proto_err = max(errs)
 
-        # identical anchor/positive/negative with zero margin puts the
-        # soft-margin pre-activation at exactly zero: value is ln 2
-        z = np.ones((4, 3))
-        soft, _ = losses.triplet_soft_margin_loss(z, z, z, 0.0)
+        # each row its own positive and the other row, at squared distance
+        # exactly the 0.5 margin, its negative: every soft-margin
+        # pre-activation is exactly zero, so the value is ln 2
+        z = np.array([[0.0, 0.0], [0.5, 0.5]])
+        own, other = np.array([0, 1]), np.array([1, 0])
+        soft, _ = losses.triplet_loss(z, own, other, soft=True)
         soft_err = abs(soft - math.log(2.0))
 
         # negatives far beyond margin reach: the hinge is exactly zero
-        a = np.zeros((3, 2))
-        p = np.full((3, 2), 0.1)
-        n = np.full((3, 2), 10.0)
-        hinge, grads = losses.triplet_hinge_loss(a, p, n, 0.5)
+        far = np.array([[0.0, 0.0], [10.0, 10.0]])
+        hinge, grad = losses.triplet_loss(far, own, other)
 
         ok = (proto_err < 1e-9 and soft_err < 1e-12 and hinge == 0.0
-              and all(np.all(g == 0.0) for g in grads))
+              and np.all(grad == 0.0))
         report(5, "loss landmarks hit closed-form values", ok,
                f"uniform-softmax err {proto_err:.1e} < 1e-9, "
                f"ln2 err {soft_err:.1e} < 1e-12, inactive hinge == 0")

@@ -82,7 +82,7 @@ def sampling_cases(draw):
 
 class TestConfig:
     def test_presets(self):
-        cfg = episodes.hard_triplet_preset()
+        cfg = episodes.EpisodeConfig()
         cfg.validate()
         assert (cfg.n_c_train, cfg.n_e, cfg.n_c_test) == (32, 4, 5)
 

@@ -230,99 +230,104 @@ class TestBlockPrototypeLoss:
             fn(emb, ())
 
 
+def lone_triplets(*triplets):
+    """Rows 4k to 4k + 3 = (a, p, n, far) for the k-th given triplet, far
+    at 1e3 in every coordinate; row 4k anchors (4k, 4k + 1, 4k + 2).
+
+    Rows 4k + 1 to 4k + 3 anchor themselves as positive and a row about
+    1e6 away as negative, which adds exactly 0 to the loss and to every
+    gradient under both losses: each given triplet's terms reach its
+    rows unchanged, divided by the 4K rows of K triplets.  Returns
+    (emb, p, n).
+    """
+    emb, p, n = [], [], []
+    for k, (a, pos, neg) in enumerate(triplets):
+        emb += [a, pos, neg, np.full(len(a), 1e3)]
+        p += [4 * k + 1, 4 * k + 1, 4 * k + 2, 4 * k + 3]
+        n += [4 * k + 2, 4 * k + 3, 4 * k + 3, 4 * k]
+    return np.array(emb, dtype=np.float64), np.array(p), np.array(n)
+
+
+def random_triplets(rng, rows):
+    """Random (p, n) rows, repeats and self-pairs included."""
+    return rng.integers(0, rows, rows), rng.integers(0, rows, rows)
+
+
 class TestTripletHinge:
     def test_inactive_region_exactly_zero(self):
-        a = np.array([[0.0, 0.0]])
-        p = np.array([[0.1, 0.0]])
-        n = np.array([[10.0, 0.0]])
-        loss, (ga, gp, gn) = losses.triplet_hinge_loss(a, p, n, 0.5)
+        emb, p, n = lone_triplets(([0.0, 0.0], [0.1, 0.0], [10.0, 0.0]))
+        loss, grad = losses.triplet_loss(emb, p, n)
         assert loss == 0.0
-        assert np.all(ga == 0.0) and np.all(gp == 0.0) and np.all(gn == 0.0)
+        assert np.all(grad == 0.0)
 
     def test_active_value_and_gradient(self):
-        a = np.array([[0.0]])
-        p = np.array([[2.0]])
-        n = np.array([[1.0]])
-        # pre = 4 - 1 + 0.5 = 3.5
-        loss, (ga, gp, gn) = losses.triplet_hinge_loss(a, p, n, 0.5)
-        assert loss == pytest.approx(3.5)
-        # d loss/da = 2(a-p) - 2(a-n) = -4 + 2 = -2
-        assert ga[0, 0] == pytest.approx(-2.0)
-        assert gp[0, 0] == pytest.approx(4.0)
-        assert gn[0, 0] == pytest.approx(-2.0)
+        emb, p, n = lone_triplets(([0.0], [2.0], [1.0]))
+        # pre = 4 - 1 + 0.5 = 3.5, over 4 rows
+        loss, grad = losses.triplet_loss(emb, p, n)
+        assert loss == pytest.approx(3.5 / 4)
+        # d loss/da = 2(a-p) - 2(a-n) = -4 + 2 = -2; d/dp = 4; d/dn = -2
+        assert grad[:, 0].tolist() == pytest.approx([-0.5, 1.0, -0.5, 0.0])
 
     def test_kink_uses_inactive_branch(self):
         # pre-activation exactly zero: loss 0, all gradients 0
         # d+ = 2, d- = 2.25 + 0.25 = 2.5, margin 0.5; all exact in float64
-        a = np.array([[0.0, 0.0]])
-        p = np.array([[1.0, 1.0]])
-        n = np.array([[1.5, 0.5]])
-        loss, (ga, gp, gn) = losses.triplet_hinge_loss(a, p, n, 0.5)
+        emb, p, n = lone_triplets(([0.0, 0.0], [1.0, 1.0], [1.5, 0.5]))
+        assert losses.triplet_pre_activation(emb, p, n)[2][0] == 0.0
+        loss, grad = losses.triplet_loss(emb, p, n)
         assert loss == 0.0
-        assert np.all(ga == 0.0)
+        assert np.all(grad == 0.0)
 
     def test_batch_mean(self):
-        a = np.zeros((2, 1))
-        p = np.array([[2.0], [0.0]])
-        n = np.array([[1.0], [10.0]])
-        loss, _ = losses.triplet_hinge_loss(a, p, n, 0.5)
-        assert loss == pytest.approx(3.5 / 2)  # one active, one inactive
+        # pre 3.5, 1 - 0.25 + 0.5 = 1.25 and inactive, over 12 rows
+        emb, p, n = lone_triplets(([0.0], [2.0], [1.0]),
+                                  ([0.0], [1.0], [0.5]),
+                                  ([0.0], [0.0], [10.0]))
+        loss, _ = losses.triplet_loss(emb, p, n)
+        assert loss == pytest.approx((3.5 + 1.25) / 12)
 
     def test_matches_finite_differences_active(self):
         rng = np.random.default_rng(2)
         for trial in range(5):
             emb = rng.normal(size=(6, 4)) * 0.3  # small: hinge mostly active
-            a, p, n = np.array([0, 1]), np.array([2, 3]), np.array([4, 5])
+            p, n = random_triplets(rng, 6)
+            pre = losses.triplet_pre_activation(emb, p, n)[2]
+            assert np.all(np.abs(pre) > 1e-3) and np.any(pre > 0)
 
             def loss_of(e):
-                return losses.triplet_hinge_loss(e[a], e[p], e[n], 0.5)[0]
+                return losses.triplet_loss(e, p, n)[0]
 
-            loss, (ga, gp, gn) = losses.triplet_hinge_loss(
-                emb[a], emb[p], emb[n], 0.5
-            )
-            grad = np.zeros_like(emb)
-            np.add.at(grad, a, ga)
-            np.add.at(grad, p, gp)
-            np.add.at(grad, n, gn)
+            _, grad = losses.triplet_loss(emb, p, n)
             assert rel_err(grad, fd_embedding_grad(loss_of, emb)) < 1e-6
 
 
 class TestSoftMargin:
     def test_zero_pre_activation_landmark_ln_2(self):
-        # d+ = d- and margin 0: loss is exactly ln 2
-        a = np.array([[0.0, 0.0]])
-        p = np.array([[1.0, 0.0]])
-        n = np.array([[0.0, 1.0]])
-        loss, _ = losses.triplet_soft_margin_loss(a, p, n, 0.0)
-        assert loss == pytest.approx(np.log(2.0), abs=1e-12)
+        # the hinge's kink geometry puts pre at exactly 0: ln 2 over 4 rows
+        emb, p, n = lone_triplets(([0.0, 0.0], [1.0, 1.0], [1.5, 0.5]))
+        loss, _ = losses.triplet_loss(emb, p, n, soft=True)
+        assert 4 * loss == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_extreme_pre_activation_no_overflow(self):
-        a = np.array([[0.0]])
-        p = np.array([[100.0]])
-        n = np.array([[0.0]])
-        loss, (ga, _, _) = losses.triplet_soft_margin_loss(a, p, n, 0.5)
+        emb, p, n = lone_triplets(([0.0], [100.0], [0.0]))
+        loss, grad = losses.triplet_loss(emb, p, n, soft=True)
         assert np.isfinite(loss)
-        assert loss == pytest.approx(100.0**2 + 0.5, rel=1e-12)
-        loss, (ga, _, _) = losses.triplet_soft_margin_loss(a, n, p, 0.5)
+        assert 4 * loss == pytest.approx(100.0**2 + 0.5, rel=1e-12)
+        assert np.all(np.isfinite(grad))
+        emb, p, n = lone_triplets(([0.0], [0.0], [100.0]))
+        loss, grad = losses.triplet_loss(emb, p, n, soft=True)
         assert 0.0 <= loss < 1e-300 or loss == 0.0
-        assert np.all(np.isfinite(ga))
+        assert np.all(np.isfinite(grad))
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         for trial in range(5):
             emb = rng.normal(size=(6, 4))
-            a, p, n = np.array([0, 1]), np.array([2, 3]), np.array([4, 5])
+            p, n = random_triplets(rng, 6)
 
             def loss_of(e):
-                return losses.triplet_soft_margin_loss(e[a], e[p], e[n], 0.5)[0]
+                return losses.triplet_loss(e, p, n, soft=True)[0]
 
-            loss, (ga, gp, gn) = losses.triplet_soft_margin_loss(
-                emb[a], emb[p], emb[n], 0.5
-            )
-            grad = np.zeros_like(emb)
-            np.add.at(grad, a, ga)
-            np.add.at(grad, p, gp)
-            np.add.at(grad, n, gn)
+            _, grad = losses.triplet_loss(emb, p, n, soft=True)
             assert rel_err(grad, fd_embedding_grad(loss_of, emb)) < 1e-6
 
 
@@ -413,10 +418,10 @@ def objective_triplets(kind, n_c, n_e, ranks):
     an (n_c, n_e) block scores for one episode's ranks: every row is its
     own anchor."""
     fn, _ = losses.episode_objective(kind, n_c, n_e, 1)
-    with mock.patch.object(losses, "indexed_triplet_loss",
-                           wraps=losses.indexed_triplet_loss) as spy:
+    with mock.patch.object(losses, "triplet_loss",
+                           wraps=losses.triplet_loss) as spy:
         fn(np.zeros((n_c * n_e, 1)), ranks)
-    return (np.arange(n_c * n_e), *spy.call_args.args[2:])
+    return (np.arange(n_c * n_e), *spy.call_args.args[1:3])
 
 
 def assert_same_triplets(n_c, n_e, batch_rng, loop_rng):
@@ -480,28 +485,43 @@ class TestRandomTriplets:
         assert high[2].tolist() == [8, 8, 8, 8, 8, 8, 5, 5, 5]
 
 
-def reference_indexed_triplet_loss(fn, emb, p, n):
-    """Row i anchors triplet i, with each role's gradient scattered by its
-    own `np.add.at` into zeros."""
-    a = np.arange(len(emb))
-    loss, (ga, gp, gn) = fn(emb[a], emb[p], emb[n], losses.TRIPLET_MARGIN)
+def reference_triplet_loss(emb, p, n, soft):
+    """Each triplet (i, p[i], n[i]) scored on its own, from scalars, and
+    each role's gradient scattered by its own `np.add.at` into zeros.
+    Returns (loss, grad, pre-activations)."""
+    t = len(emb)
+    pre, terms, roles = [], [], ([], [], [])
+    for i in range(t):
+        dp, dn = emb[i] - emb[p[i]], emb[i] - emb[n[i]]
+        x = np.sum(dp * dp) - np.sum(dn * dn) + losses.TRIPLET_MARGIN
+        if soft:
+            term, slope = np.logaddexp(0.0, x), 0.5 * (1.0 + np.tanh(0.5 * x))
+        else:
+            term, slope = max(x, 0.0), float(x > 0)
+        slope /= t
+        pre.append(x)
+        terms.append(term)
+        for out, g in zip(roles, (2 * slope * (dp - dn), -2 * slope * dp,
+                                  2 * slope * dn)):
+            out.append(g)
     grad = np.zeros_like(emb)
-    np.add.at(grad, a, ga)
-    np.add.at(grad, p, gp)
-    np.add.at(grad, n, gn)
-    return loss, grad
+    for rows, g in zip((np.arange(t), p, n), roles):
+        np.add.at(grad, rows, np.array(g))
+    return float(np.mean(terms)), grad, np.array(pre)
 
 
 class TestIndexedTripletLoss:
-    @pytest.mark.parametrize("fn", [losses.triplet_hinge_loss,
-                                    losses.triplet_soft_margin_loss])
+    @pytest.mark.parametrize("soft", [False, True],
+                             ids=["triplet_hinge_loss",
+                                  "triplet_soft_margin_loss"])
     @pytest.mark.parametrize("kind", [losses.HARD_TRIPLET_KIND,
                                       losses.TRIPLET_KIND])
-    def test_bits_of_scatter_into_zeros(self, fn, kind):
+    def test_bits_of_scatter_into_zeros(self, soft, kind):
         # class centres spread about the noise's scale mix active and
         # inactive hinges; an inactive one gives signed zeros, and -0.0
         # must become +0.0 wherever no positive or negative gradient
-        # lands on the row
+        # lands on the row.  The losses sum in different orders, so they
+        # agree to rounding only.
         rng = np.random.default_rng(12)
         n_c, n_e = 6, 4
         labels = flat_layout(n_c, n_e, 1)[0]
@@ -516,14 +536,25 @@ class TestIndexedTripletLoss:
             else:
                 _, p, n = objective_triplets(kind, n_c, n_e,
                                              rng.integers(0, bounds))
-            loss, grad = losses.indexed_triplet_loss(fn, emb, p, n)
-            want_loss, want_grad = reference_indexed_triplet_loss(fn, emb, p, n)
-            assert loss == want_loss
+            loss, grad = losses.triplet_loss(emb, p, n, soft)
+            want_loss, want_grad, want_pre = reference_triplet_loss(
+                emb, p, n, soft)
+            assert loss == pytest.approx(want_loss, rel=1e-12)
             assert grad.tobytes() == want_grad.tobytes()
-            pre.append(losses.triplet_pre_activation(
-                emb, emb[p], emb[n], losses.TRIPLET_MARGIN)[2])
+            pre.append(want_pre)
         pre = np.concatenate(pre)
         assert np.any(pre > 0) and np.any(pre < 0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("soft", [False, True])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_rejected(self, soft, value):
+        # row 3 is no triplet's positive or negative, but anchors its own
+        emb = np.zeros((4, 2))
+        emb[3, 0] = value
+        with pytest.raises(InputError, match="triplet embeddings"):
+            losses.triplet_loss(emb, np.array([1, 0, 0, 0]),
+                                np.array([2, 2, 1, 1]), soft)
 
 
 class TestEpisodeLoss:
@@ -587,20 +618,24 @@ class TestEpisodeLoss:
 
     def test_calls_module_losses_each_episode(self, monkeypatch):
         # perfbench counts prototype losses and mined anchors by replacing
-        # these module attributes before training: an objective that
-        # reached the functions through a name bound at import would
-        # leave those counts at 0 without any error
+        # these module attributes before training, and `objective_triplets`
+        # spies on `triplet_loss`: an objective that reached the functions
+        # through a name bound at import would leave those counts at 0
+        # without any error
         calls = []
-        for name in ("mine_hard_triplets", "prototype_loss"):
+        for name in ("mine_hard_triplets", "prototype_loss", "triplet_loss"):
             def counted(*args, real=getattr(losses, name), name=name):
                 calls.append(name)
                 return real(*args)
             monkeypatch.setattr(losses, name, counted)
         rng = np.random.default_rng(10)
-        for kind, name in ((losses.HARD_TRIPLET_KIND, "mine_hard_triplets"),
-                           (losses.PROTOTYPE_KIND, "prototype_loss")):
+        for kind, names in (
+                (losses.HARD_TRIPLET_KIND, ["mine_hard_triplets",
+                                            "triplet_loss"]),
+                (losses.PROTOTYPE_KIND, ["prototype_loss"]),
+                (losses.TRIPLET_KIND, ["triplet_loss"])):
             calls.clear()
             fn, bounds = losses.episode_objective(kind, 3, 4, 1)
             for _ in range(3):
-                fn(rng.normal(size=(12, 5)), ())
-            assert calls == [name] * 3
+                fn(rng.normal(size=(12, 5)), rng.integers(0, bounds))
+            assert calls == names * 3

@@ -311,7 +311,7 @@ class TestRunTraining:
         cfg.dbscan.epsilon_override = 1e-12
         result = pipeline.run_training(cfg, train, run_dir=str(tmp_path))
         assert result.status == "aborted"
-        assert result.round_infos[-1].trained is False
+        assert result.round_infos[-1].episodes_run == 0
         failed = [p for p in os.listdir(tmp_path / "checkpoints")
                   if p.endswith("_failed.ckpt")]
         assert failed
