@@ -9,6 +9,9 @@ in cache-sized row blocks that share one buffer, and the Jaccard matrix
 is kept as the edge list of its pairs below 1, of which there are at
 most N k^2 / 2.  A block is a few memory-bound passes over its
 distances, so its size, not the GEMM, sets the speed (README "Scale").
+The kNN step selects no row in full: a minimum over strided column
+groups bounds each row's (k+1)-th smallest distance from above, and only
+the few entries under that bound are sorted.
 """
 
 from __future__ import annotations
@@ -18,16 +21,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometryWarning, InputError
+from .errors import (ContractViolationError, DegenerateGeometryWarning,
+                     InputError)
 
-# Distance entries per row block in `build_jaccard` (4 MB of float64).  In
-# a sweep from 1 << 17 to 1 << 22 (random 16-d, k=20, one BLAS thread),
-# 1 << 18 to 1 << 20 were within noise of each other at N = 1k, 4k and
-# 16k; at 4k they beat 1 << 22 by 10-25%.  Blocks below 16 rows were
-# slow when every block recomputed the N norms (at 32k, 1 << 18 took
-# 17.6 s and 1 << 19 14.2 s); with the norms taken once per build, small
-# blocks have not been measured again.
-BLOCK_ENTRIES = 1 << 19
+# Distance entries per row block in `build_jaccard` (1 MB of float64).
+# With the norms taken once per build and the group bound in `knn_sets`,
+# two series of five interleaved sweeps of 1 << 16 to 1 << 20 (one BLAS
+# thread, 2-core x86_64 with 2 MB of L2 per core) gave these series
+# medians of `build_jaccard`, for 1 << 16, 17, 18, 19 and 20: at N = 4k
+# (rays-4k initial embeddings, k=12) 0.10-0.12, 0.10-0.11, 0.12, 0.13
+# and 0.14 s; at 16k (random 16-d, k=20) 1.94-2.11, 1.71-1.76,
+# 1.75-1.77, 1.88-2.00 and 1.90-2.01 s: 1 << 17 is the fastest at both.
+BLOCK_ENTRIES = 1 << 17
+
+# Columns per strided group in `knn_sets`' candidate bound: wider groups
+# make fewer minima to select among, and the bound stays near the row's
+# own (k+1)-th value while N / GROUP is well above k.
+GROUP = 32
 
 
 @dataclass(frozen=True)
@@ -121,6 +131,18 @@ def knn_sets(dist, k, start=0):
     `dist` holds rows start, start+1, ... of the N x N distance matrix
     (all of it by default); the result is a (rows, k) index array.  k is
     clamped to N-1 with a warning when too large.
+
+    One path serves every row.  Column j goes to strided group j % G of
+    width w = min(GROUP, N // (k+1)), G = N // w, and the tail past G w
+    columns to no group.  Each group holds an entry equal to its minimum,
+    so the (k+1)-th smallest of the G minima is never below the row's
+    (k+1)-th smallest entry, whatever the column order and the ties.
+    Every entry at or below it is a candidate, and one lexsort by (row,
+    distance, column) ranks the candidates other than self.  The cost is
+    one minimum pass and one comparison pass over the block, a partition
+    of b x G minima, and a sort of a few more than k candidates per row
+    on spread-out data.  NaN distances, which leave a row short of k
+    candidates, raise ContractViolationError.
     """
     dist = np.asarray(dist, dtype=np.float64)
     b, n = dist.shape
@@ -129,23 +151,14 @@ def knn_sets(dist, k, start=0):
         k = n - 1
     if k <= 0:
         return np.empty((b, 0), dtype=np.intp)
-    # The k nearest others are among the entries at or below the (k+1)-th
-    # smallest value of the row, self included; ties at that value all
-    # stay, so the index tie-break sees every candidate.
-    kth = np.partition(dist, k, axis=1)[:, k]
-    flat = np.flatnonzero(dist <= kth[:, None])
-    if flat.size == b * (k + 1):
-        # No ties at the k-th value: every row holds exactly k+1
-        # candidates, in ascending column order.  When self is one of
-        # them, the other k are the list, and a stable sort by distance
-        # keeps the index tie-break.
-        cols = flat.reshape(b, k + 1) % n
-        other = cols != (start + np.arange(b))[:, None]
-        if np.count_nonzero(other) == b * k:
-            cols = cols[other].reshape(b, k)
-            order = np.argsort(np.take_along_axis(dist, cols, axis=1),
-                               axis=1, kind="stable")
-            return np.take_along_axis(cols, order, axis=1)
+    # k+1 groups, so k+1 entries, lie at or below the bound: the k
+    # nearest others are among the entries there, ties included
+    width = min(GROUP, n // (k + 1))
+    groups = n // width
+    mins = np.minimum.reduce(
+        dist[:, :groups * width].reshape(b, width, groups), axis=1)
+    bound = np.partition(mins, k, axis=1)[:, k]
+    flat = np.flatnonzero(dist <= bound[:, None])
     rows, cols = np.divmod(flat, n)
     other = cols != rows + start
     rows, cols = rows[other], cols[other]
@@ -153,6 +166,10 @@ def knn_sets(dist, k, start=0):
     rows, cols = rows[order], cols[order]
     rank = np.arange(rows.size) - np.searchsorted(rows, rows)
     first = rank < k
+    if np.count_nonzero(first) < b * k:
+        # only a NaN distance compares false with the bound
+        raise ContractViolationError(
+            "distances hold NaN: a row has fewer than k neighbor candidates")
     knn = np.empty((b, k), dtype=np.intp)
     knn[rows[first], rank[first]] = cols[first]
     return knn
@@ -202,13 +219,21 @@ def build_jaccard(embeddings, k):
 
     Each block holds about BLOCK_ENTRIES squared distances in one buffer
     reused by every block, so memory stays O(N k^2 + block) however
-    large N grows, and the N squared norms are taken once for all blocks:
-    at N = 16k (random 16-d, k=20) this takes 2.0-2.2 s, and with epsilon
-    and DBSCAN the process peaks at 117 MB.  The block size changes no
-    output bit.
+    large N grows, and the N squared norms are taken once for all blocks
+    (README "Scale" has the times).  The block size and GROUP change no
+    output bit.  Embeddings whose squared norms could overflow the
+    distances raise InputError before any distance is taken.
     """
     emb = _check_finite(embeddings)
     n = emb.shape[0]
+    with np.errstate(over="ignore"):
+        norms = np.sum(emb * emb, axis=-1)
+    # with every |a|^2 at most a quarter of the float64 maximum, neither
+    # |a|^2 + |b|^2 nor 2ab can overflow, so no distance is inf or NaN
+    if not np.all(norms <= np.finfo(np.float64).max / 4):
+        raise InputError("embeddings too large: a squared norm above a "
+                         "quarter of the float64 maximum overflows the "
+                         "squared distances")
     step = max(1, BLOCK_ENTRIES // max(n, 1))
     buf = np.empty((min(step, n), n))
     if n > 1 and not np.any(emb != emb[0]):
@@ -219,7 +244,6 @@ def build_jaccard(embeddings, k):
             "all embeddings coincide; neighbor sets carry no geometry",
             DegenerateGeometryWarning,
         )
-    norms = np.sum(emb * emb, axis=-1)
     blocks = []
     for start in range(0, n, step):
         rows = emb[start:start + step]

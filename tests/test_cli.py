@@ -357,6 +357,22 @@ class TestTooFewPoints:
             "uflst: error: need at least two points to select epsilon\n")
 
 
+class TestHugeFeatures:
+    def test_overflowing_norms_exit_1(self, synth_dir, tmp_path):
+        # finite features, but squared norms past the float64 range: the
+        # re-ranking refuses them before it takes any distance
+        data_dir = tmp_path / "data"
+        shutil.copytree(synth_dir, data_dir)
+        path = str(data_dir / "train.raw64")
+        data.save_raw64(path, data.load_matrix_dataset(path).features * 1e160)
+        run_dir = tmp_path / "run"
+        code, lines = run_train_process(
+            data_dir, run_dir, [*TRAIN_ARGS, "rounds=2", "eval_episodes=0"])
+        assert_stopped_before_any_round(code, lines, run_dir)
+        assert "embeddings too large" in lines[0]
+        assert "RuntimeWarning" not in (run_dir / "run.log").read_text()
+
+
 class TestResumeGuards:
     """`--resume` stops before any round when the checkpoint cannot
     continue the configured run."""

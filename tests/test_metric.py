@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uflst import metric
-from uflst.errors import InputError
+from uflst.errors import ContractViolationError, InputError
 
 
 def oracle_distances(points):
@@ -195,6 +195,98 @@ class TestKnn:
             knn = metric.knn_sets(dist, 10)
         assert all(len(nb) == 3 for nb in knn)
 
+    def test_nan_distances_rejected(self):
+        dist = metric.pairwise_sq_euclidean(
+            np.random.default_rng(14).normal(size=(20, 2)))
+        dist[3] = np.nan
+        dist[3, 3] = 0.0
+        with pytest.raises(ContractViolationError, match="NaN"):
+            metric.knn_sets(dist, 4)
+
+
+@st.composite
+def knn_cases(draw):
+    """(group, points, k, start, stop): GROUP 1, 2, 3 or 32, n from k+1 to
+    past (k+1) * GROUP, random, integer-grid or duplicated points, and the
+    block of rows start:stop."""
+    group = draw(st.sampled_from([1, 2, 3, 32]))
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k + 1, (k + 1) * group + group + 3))
+    dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["random", "grid", "duplicates"]))
+    if layout == "random":
+        points = rng.normal(size=(n, dim))
+    elif layout == "grid":
+        points = rng.integers(-2, 3, size=(n, dim)).astype(np.float64)
+    else:
+        distinct = rng.normal(size=(draw(st.integers(1, 4)), dim))
+        points = distinct[rng.integers(0, len(distinct), size=n)]
+    start = draw(st.integers(0, n - 1))
+    stop = draw(st.integers(start + 1, n))
+    return group, points, k, start, stop
+
+
+class TestGroupBound:
+    """`knn_sets` keeps every entry at or below the (k+1)-th smallest
+    minimum of its strided column groups; whatever the group width, the
+    lists equal the full-sort oracle's."""
+
+    @staticmethod
+    def assert_matches_oracle(dist, k, start=0, stop=None, group=None):
+        stop = len(dist) if stop is None else stop
+        with mock.patch.object(metric, "GROUP", group or metric.GROUP):
+            got = metric.knn_sets(dist[start:stop], k, start)
+        expected = oracle_knn(dist, k)[start:stop]
+        assert got.shape == (stop - start, k)
+        for row, want in zip(got, expected):
+            assert np.array_equal(row, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(knn_cases())
+    def test_equals_oracle(self, case):
+        group, points, k, start, stop = case
+        dist = metric.pairwise_sq_euclidean(points)
+        self.assert_matches_oracle(dist, k, start, stop, group)
+
+    def test_self_and_neighbors_in_the_tail(self):
+        # n = 133, k = 3: width 32, 4 groups over columns 0-127; rows
+        # 128-132 have self and their nearest neighbors in the 5 tail
+        # columns, which lie in no group
+        n, k = 133, 3
+        width = min(metric.GROUP, n // (k + 1))
+        assert (width, n // width) == (32, 4)
+        dist = metric.pairwise_sq_euclidean(np.arange(float(n))[:, None])
+        self.assert_matches_oracle(dist, k, 120, n)
+        got = metric.knn_sets(dist[130:131], k, 130)
+        assert got.tolist() == [[129, 131, 128]]
+
+    def test_all_k_nearest_in_one_group(self):
+        # n = 200, k = 4: width 32, 6 groups, column j in group j % 6;
+        # the 4 nearest of row 0 are columns 6, 12, 18 and 24, all in
+        # self's group, so its minimum (0, self) stands for all five
+        n, k = 200, 4
+        width = min(metric.GROUP, n // (k + 1))
+        assert (width, n // width) == (32, 6)
+        values = 100.0 + np.arange(float(n))
+        values[[0, 6, 12, 18, 24]] = [0.0, 4.0, 3.0, 2.0, 1.0]
+        dist = metric.pairwise_sq_euclidean(values[:, None])
+        assert metric.knn_sets(dist[:1], k).tolist() == [[24, 18, 12, 6]]
+        self.assert_matches_oracle(dist, k)
+
+    @pytest.mark.parametrize("group", [1, 3, 32])
+    def test_every_row_tied_at_the_bound(self, group):
+        # every off-diagonal entry is 1, so every column is a candidate
+        # and the index tie-break alone picks the list
+        n, k = 100, 5
+        dist = np.ones((n, n))
+        np.fill_diagonal(dist, 0.0)
+        self.assert_matches_oracle(dist, k, 40, 70, group)
+        with mock.patch.object(metric, "GROUP", group):
+            got = metric.knn_sets(dist[:3], k)
+        assert got.tolist() == [[1, 2, 3, 4, 5], [0, 2, 3, 4, 5],
+                                [0, 1, 3, 4, 5]]
+
 
 class TestReciprocal:
     def test_matches_set_enumeration(self):
@@ -358,6 +450,24 @@ class TestSparseMatchesDense:
         for field in ("rows", "cols", "dist"):
             assert (getattr(small, field).tobytes()
                     == getattr(one, field).tobytes())
+
+    def test_group_width_keeps_edge_bits(self):
+        # GROUP = 1 makes the bound each row's own (k+1)-th smallest entry
+        points = np.random.default_rng(13).normal(size=(2000, 16))
+        assert min(metric.GROUP, 2000 // 21) > 1
+        grouped = metric.build_jaccard(points, 20)
+        with mock.patch.object(metric, "GROUP", 1):
+            rowwise = metric.build_jaccard(points, 20)
+        for field in ("rows", "cols", "dist"):
+            assert (getattr(grouped, field).tobytes()
+                    == getattr(rowwise, field).tobytes())
+
+    def test_overflowing_norms_rejected(self):
+        # finite features whose squared norms overflow float64: no
+        # distance is taken, and no RuntimeWarning is raised
+        points = np.random.default_rng(15).normal(size=(50, 4)) * 1e160
+        with pytest.raises(InputError, match="too large"):
+            metric.build_jaccard(points, 5)
 
     def test_row_block_matches_full_matrix(self):
         rng = np.random.default_rng(8)
