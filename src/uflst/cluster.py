@@ -55,16 +55,45 @@ class PseudoLabeledSet:
 
 def select_epsilon(jm, p):
     """Mean of the P smallest upper-triangle distances of the JaccardMatrix
-    `jm`, the pairs it leaves out counted at 1."""
+    `jm`, the pairs it leaves out counted at 1, with the bits of `np.mean`
+    over that pool of P floats but without building it.
+
+    The pool is the m = min(P, edges) smallest stored distances, sorted,
+    then P - m ones: a left-out pair at 1 sorts after every stored
+    distance.  `_pool_sum` gives the pool's sum as numpy's pairwise
+    `np.add.reduce` forms it, so memory stays O(edges) however large P
+    is.  `tests/test_cluster.py` checks it `==` to the `np.mean` of the
+    padded pool, the oracle, across pool sizes and edge counts.
+    """
     if jm.n < 2:
         raise EmptyClusteringError("need at least two points to select epsilon")
     if p < 1:
         raise ContractViolationError(f"epsilon needs p >= 1 pairs, got p={p}")
-    n_pairs = jm.n * (jm.n - 1) // 2
-    pool = np.sort(jm.dist)[: min(p, n_pairs)]
-    # the left-out pairs at 1 sort after every stored distance
-    pool = np.concatenate([pool, np.ones(min(p, n_pairs) - pool.size)])
-    return float(np.mean(pool))
+    p = min(p, jm.n * (jm.n - 1) // 2)
+    return float(_pool_sum(np.sort(jm.dist)[:p], p) / p)
+
+
+def _pool_sum(head, size):
+    """`np.add.reduce` of `head` padded with ones to `size` floats, built
+    from `head` alone.
+
+    numpy sums a contiguous float64 array of n < 8 in order from 0; of
+    n <= 128 in 8 accumulators over whole groups of 8, joined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest in
+    order; and of larger n as the sum of its halves split at
+    n // 2 - (n // 2) % 8.  The tree depends on n alone, so a subtree that
+    lies wholly in the ones sums to its length exactly, one wholly in
+    `head` is reduced from it, and only the O(log size) subtrees across
+    the boundary recurse, the last as a padded leaf of at most 128 floats.
+    """
+    if head.size == size:
+        return np.add.reduce(head)
+    if head.size == 0:
+        return float(size)
+    if size <= 128:
+        return np.add.reduce(np.concatenate([head, np.ones(size - head.size)]))
+    half = size // 2 - (size // 2) % 8
+    return _pool_sum(head[:half], half) + _pool_sum(head[half:], size - half)
 
 
 def dbscan_fit(jm, epsilon, ms):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import struct
 from dataclasses import astuple, dataclass, fields
 
@@ -32,13 +33,6 @@ class Dataset:
     @property
     def dim(self):
         return self.features.shape[1]
-
-    def subset(self, rows):
-        rows = np.asarray(rows)
-        return Dataset(
-            features=self.features[rows],
-            labels=None if self.labels is None else self.labels[rows],
-        )
 
 
 # Fixed geometry of the generators.  blobs: the within-class spread.
@@ -199,7 +193,9 @@ def save_raw64(path, features):
 
 
 def load_matrix_dataset(path):
-    """The features of a raw64 file; they must all be finite."""
+    """The features of a raw64 file; they must all be finite.  The payload
+    is read straight into the feature array, after its size is checked
+    against the header, so it is held once."""
     with open(path, "rb") as f:
         magic = f.read(len(RAW64_MAGIC))
         if magic != RAW64_MAGIC:
@@ -210,13 +206,14 @@ def load_matrix_dataset(path):
         if len(header) != 8:
             raise DatasetParseError(f"{path}: truncated raw64 header")
         n, d = struct.unpack("<II", header)
-        body = f.read()
-    expected = 8 * n * d
-    if len(body) != expected:
-        raise DatasetParseError(
-            f"{path}: expected {expected} payload bytes, got {len(body)}"
-        )
-    feats = np.frombuffer(body, dtype="<f8").astype(np.float64).reshape(n, d)
+        expected = 8 * n * d
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if left != expected:
+            raise DatasetParseError(
+                f"{path}: expected {expected} payload bytes, got {left}"
+            )
+        feats = np.fromfile(f, dtype="<f8", count=n * d)
+    feats = feats.astype(np.float64, copy=False).reshape(n, d)
     if not np.all(np.isfinite(feats)):
         raise InputError(f"{path}: dataset contains non-finite values")
     return Dataset(features=feats)

@@ -101,7 +101,7 @@ def few_shot_accuracy(params, features, labels, protocol, n_episodes, rng):
     blocks = episodes.sample_episodes(members, way, per_class, n_episodes, rng)
     drawn = np.zeros(len(features), dtype=bool)
     drawn[blocks] = True
-    emb, _ = network.forward(params, features[drawn])
+    emb = network.embed(params, features[drawn])
     at = np.cumsum(drawn) - 1   # each drawn row's position in `emb`
     accs = np.empty(n_episodes)
     for start in range(0, n_episodes, episodes.CHUNK):

@@ -202,14 +202,25 @@ def jaccard_matrix(reciprocal):
     members, sizes = reciprocal
     n = sizes.size
     starts = np.cumsum(sizes) - sizes
-    keys = [np.empty(0, dtype=np.int64)]
+    # the pair keys a*n + b of every set, in one array sorted in place
+    keys = np.empty(np.sum(sizes * (sizes - 1) // 2), dtype=np.int64)
+    end = 0
     for s in np.unique(sizes[sizes >= 2]):
         # each set is ascending, so every (a, b) pair below has a < b
         sets = members[starts[sizes == s][:, None] + np.arange(s)]
         a, b = np.triu_indices(s, k=1)
-        keys.append((sets[:, a] * n + sets[:, b]).ravel())
-    keys, inter = np.unique(np.concatenate(keys), return_counts=True)
-    rows, cols = np.divmod(keys, n)
+        block = keys[end:end + sets.shape[0] * a.size].reshape(-1, a.size)
+        np.multiply(sets[:, a], n, out=block)
+        block += sets[:, b]
+        end += block.size
+    keys.sort()
+    # a pair's count is the length of its run of equal keys
+    run_start = np.empty(keys.size, dtype=bool)
+    run_start[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
+    first = np.flatnonzero(run_start)
+    inter = np.diff(first, append=keys.size)
+    rows, cols = np.divmod(keys[first], n)
     union = sizes[rows] + sizes[cols] - inter
     return JaccardMatrix(n=n, rows=rows, cols=cols, dist=1.0 - inter / union)
 
@@ -234,8 +245,6 @@ def build_jaccard(embeddings, k):
         raise InputError("embeddings too large: a squared norm above a "
                          "quarter of the float64 maximum overflows the "
                          "squared distances")
-    step = max(1, BLOCK_ENTRIES // max(n, 1))
-    buf = np.empty((min(step, n), n))
     if n > 1 and not np.any(emb != emb[0]):
         # tested on the rows: the distances of equal rows can keep
         # rounding residues of the |a|^2 + |b|^2 - 2ab expansion, which
@@ -244,6 +253,17 @@ def build_jaccard(embeddings, k):
             "all embeddings coincide; neighbor sets carry no geometry",
             DegenerateGeometryWarning,
         )
+    return jaccard_matrix(k_reciprocal_sets(_knn_lists(emb, norms, k)))
+
+
+def _knn_lists(emb, norms, k):
+    """`knn_sets` of every row of `emb`, whose squared norms are `norms`,
+    from row blocks of about BLOCK_ENTRIES distances in one buffer.  The
+    buffer and the per-block lists are freed on return, before the
+    reciprocal and Jaccard steps allocate."""
+    n = emb.shape[0]
+    step = max(1, BLOCK_ENTRIES // max(n, 1))
+    buf = np.empty((min(step, n), n))
     blocks = []
     for start in range(0, n, step):
         rows = emb[start:start + step]
@@ -251,5 +271,4 @@ def build_jaccard(embeddings, k):
         local = np.arange(dist.shape[0])
         dist[local, start + local] = 0.0
         blocks.append(knn_sets(dist, k, start))
-    knn = np.concatenate(blocks) if blocks else np.empty((0, 0), np.intp)
-    return jaccard_matrix(k_reciprocal_sets(knn))
+    return np.concatenate(blocks) if blocks else np.empty((0, 0), np.intp)

@@ -8,12 +8,13 @@ capture the whole optimizer trajectory.
 gradients and temporaries into a `Workspace`: the one they are given, or
 a fresh one.  Training builds one workspace per round for the round's
 batch size and passes it to every step, so the steps of a round reuse one
-set of buffers; clustering, evaluation and the gradient check pass none,
-so what they get back is theirs to keep.  An array returned from a given
-workspace is valid until the next call of the same function on it: the
-embeddings and cache of `forward` until the next `forward`, the gradient
-of `backward` until the next `backward`.  Passing a workspace changes no
-output bit.
+set of buffers; `embed`, which clustering and evaluation call, runs
+`forward` over row blocks through one workspace of its own; the gradient
+check passes none, so what it gets back is its to keep.  An array
+returned from a given workspace is valid until the next call of the same
+function on it: the embeddings and cache of `forward` until the next
+`forward`, the gradient of `backward` until the next `backward`.  Passing
+a workspace changes no output bit.
 """
 
 from __future__ import annotations
@@ -206,6 +207,42 @@ def forward(params, batch, workspace=None):
     cache = {"inputs": [batch, *acts], "pre_acts": list(pre_acts),
              "batch_shape": batch.shape}
     return h, cache
+
+
+# Rows per `forward` call in `embed`.  One round of `uflst train` on rays
+# (one BLAS thread, 2-core x86_64, three runs each) read the same peak
+# RSS at 128, 256, 512 and 1024 rows: 46.8-47.0 MB at N = 4k and
+# 99.7-100.8 MB at 32k.  The embed took 3.3-6.0 ms at 4k at every size,
+# and at 32k 23-35 ms at 128 rows against 21-26 ms from 256 up.  Of
+# those, 512 gives a row the bits of a full-batch OpenBLAS GEMM on more
+# layer shapes than 128 or 256 do.
+EMBED_ROWS = 512
+
+
+def embed(params, features):
+    """The (N, D_out) embeddings `forward(params, features)[0]`, computed
+    EMBED_ROWS rows at a time into one array, so that only one block's
+    hidden activations are held: the embedding that clustering and
+    evaluation take, which keep no cache for `backward`.
+
+    Every block has min(N, EMBED_ROWS) rows, the last one overlapping the
+    one before it, so one workspace serves them all and each row goes
+    through a GEMM of one shape.  Under OpenBLAS that gives the bits of the
+    full-batch call for the default layer widths (`tests/test_network.py`
+    pins them); a BLAS whose GEMM rounds a row differently with the number
+    of rows around it would change them.  An empty batch still goes
+    through `forward`'s checks.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    n = features.shape[0]
+    rows = min(n, EMBED_ROWS)
+    out = np.empty((n, params.dims[-1]))
+    workspace = Workspace(params.dims, rows)
+    for start in range(0, max(n, 1), EMBED_ROWS):
+        start = min(start, n - rows)
+        out[start:start + rows] = forward(
+            params, features[start:start + rows], workspace)[0]
+    return out
 
 
 def backward(params, cache, output_grad, workspace=None):

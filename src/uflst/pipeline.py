@@ -94,7 +94,7 @@ def run_clustering_phase(params, features, knn_k, dbscan_cfg):
     (up to three times, stopping at 1.0), then halves ms down to 2;
     exhaustion raises RoundFailedError.
     """
-    emb, _ = network.forward(params, features)
+    emb = network.embed(params, features)
     jm = metric.build_jaccard(emb, knn_k)
     if dbscan_cfg.epsilon_override > 0:
         epsilon = dbscan_cfg.epsilon_override

@@ -74,7 +74,8 @@ def subsample(train, fraction, protocol_seed=0):
     rng = np.random.default_rng([2, protocol_seed, int(fraction * 100)])
     size = int(round(fraction * train.n))
     rows = np.sort(rng.choice(train.n, size=size, replace=False))
-    return train.subset(rows)
+    return data.Dataset(features=train.features[rows],
+                        labels=train.labels[rows])
 
 
 @pytest.fixture(scope="module")

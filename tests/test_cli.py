@@ -31,6 +31,20 @@ def cli_process(*args):
     )
 
 
+def cli_process_capped(limit, *args):
+    """`uflst ARGS` in a child process with one BLAS thread and its address
+    space capped at `limit` bytes (RLIMIT_AS)."""
+    script = ("import resource, sys; "
+              f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+              "from uflst import cli; sys.exit(cli.main(sys.argv[1:]))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src, UFLST_THREADS="1"),
+    )
+
+
 def assert_one_error_line(proc):
     """Exit 1, nothing on stdout and one `uflst: error:` line on stderr,
     which is returned."""
@@ -476,22 +490,30 @@ class TestCheckpointErrors:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(corrupt((trained_run / "final_model.ckpt")
                                  .read_bytes()))
-        limit = 2 << 30
-        script = ("import resource, sys; "
-                  f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
-                  "from uflst import cli; sys.exit(cli.main(sys.argv[1:]))")
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-c", script, "eval", "--checkpoint", str(path),
-             "--data", str(synth_dir), "--episodes", "10",
-             "episode.n_c_test=3"],
-            capture_output=True, text=True, timeout=60,
-            env=dict(os.environ, PYTHONPATH=src, UFLST_THREADS="1"),
-        )
+        proc = cli_process_capped(
+            2 << 30, "eval", "--checkpoint", str(path), "--data",
+            str(synth_dir), "--episodes", "10", "episode.n_c_test=3")
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr and proc.stdout == ""
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("uflst: error:")
+
+
+def test_epsilon_of_half_of_all_pairs_fits_400mb(tmp_path):
+    """12k rays at `dbscan.p_fraction=0.5` average P = 36M pairs, 288 MB
+    as floats.  Epsilon holds no such pool, so one round trains under a
+    400 MB address-space limit: it peaks near 190 MB of address space
+    with one BLAS thread, where building the pool took about 770 MB and
+    failed as out of memory."""
+    data_dir, run_dir = str(tmp_path / "data"), str(tmp_path / "run")
+    assert run_cli(["synth", "--out", data_dir, "synthetic.kind=rays",
+                    "synthetic.points_per_class=600"]) == 0
+    proc = cli_process_capped(
+        400 << 20, "train", "--data", data_dir, "--run-dir", run_dir,
+        "rounds=1", "epochs_per_round=1", "eval_episodes=0",
+        "dbscan.p_fraction=0.5")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("train: completed 1 rounds")
 
 
 class TestGradcheckCommand:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from collections import deque
 
@@ -157,6 +158,40 @@ class TestEpsilon:
             warnings.simplefilter("error")
             with pytest.raises(ContractViolationError, match=f"p={p}"):
                 cluster.select_epsilon(jm, p)
+
+    @pytest.mark.parametrize("pool", [
+        1, 2, 7, 8, 9, 16, 127, 128, 129, 136, 255, 256, 257, 1000, 8191,
+        8192, 8193, 100003, (1 << 21) + 3])
+    def test_equals_mean_of_padded_pool(self, pool):
+        # the oracle builds the pool of P floats that select_epsilon avoids;
+        # the two must agree bit for bit, not just to rounding
+        rng = np.random.default_rng(pool)
+        n = int(np.ceil((1 + np.sqrt(1 + 8 * pool)) / 2))   # N(N-1)/2 >= P
+        stored = {0, 1, pool // 3, pool // 2, pool - 1, pool, pool + 5,
+                  int(rng.integers(0, pool + 1))}
+        for m in sorted(stored):
+            dist = rng.uniform(0.0, 1.0, size=m) ** 3
+            jm = metric.JaccardMatrix(n, np.zeros(m, np.int64),
+                                      np.ones(m, np.int64), dist)
+            head = np.sort(dist)[:pool]
+            oracle = np.mean(np.concatenate([head,
+                                             np.ones(pool - head.size)]))
+            assert cluster.select_epsilon(jm, pool) == oracle, (pool, m)
+
+    def test_holds_no_pool(self):
+        # P = 10^7 pairs at 1 would be 80 MB as an array
+        n, pool = 4473, 10 ** 7
+        dist = np.random.default_rng(0).uniform(0.0, 1.0, size=1000)
+        jm = metric.JaccardMatrix(n, np.zeros(1000, np.int64),
+                                  np.ones(1000, np.int64), dist)
+        tracemalloc.start()
+        try:
+            epsilon = cluster.select_epsilon(jm, pool)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert epsilon == pytest.approx((np.sum(dist) + pool - 1000) / pool)
+        assert peak < 1 << 20
 
     def test_resolve_p(self):
         cfg = cluster.DbscanConfig(p_fraction=0.1)

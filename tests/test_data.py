@@ -56,13 +56,6 @@ class TestSynthetic:
         with pytest.raises(ConfigError):
             config.build_synthetic_spec(config.load_config(overrides=overrides))
 
-    def test_subset(self):
-        spec = data.SyntheticSpec(num_classes=2, points_per_class=5, dim=3)
-        train, _ = data.generate_synthetic(spec)
-        sub = train.subset([0, 5, 9])
-        assert sub.n == 3
-        assert np.array_equal(sub.labels, train.labels[[0, 5, 9]])
-
 
 class TestRaySynthetic:
     def make_spec(self, **kw):

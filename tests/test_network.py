@@ -1,5 +1,6 @@
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +139,48 @@ class TestForward:
         p = network.init_params([4, 2], seed=0)
         with pytest.raises(InputError):
             network.forward(p, np.zeros((3, 5)))
+
+
+class TestEmbed:
+    """`embed` is the full-batch `forward`'s output, one block at a time."""
+
+    @pytest.mark.parametrize("dims", [[32, 64, 64, 16], [32, 16, 8]])
+    @pytest.mark.parametrize("n", [0, 1, network.EMBED_ROWS - 1,
+                                   network.EMBED_ROWS, network.EMBED_ROWS + 1,
+                                   2 * network.EMBED_ROWS + 7, 4000])
+    def test_bits_of_full_forward(self, dims, n):
+        p = network.init_params(dims, seed=4)
+        x = np.random.default_rng(n).normal(size=(n, dims[0])) * 5
+        assert (network.embed(p, x).tobytes()
+                == network.forward(p, x)[0].tobytes())
+
+    def test_holds_one_block(self):
+        # 20k rows: every hidden activation of a full-batch forward takes
+        # 20000 x (64 + 64 + 16 + 64 + 64) floats, 43.5 MB, and the
+        # output alone 2.6 MB
+        p = network.init_params([32, 64, 64, 16], seed=0)
+        x = np.random.default_rng(0).normal(size=(20000, 32))
+        peaks = []
+        for fn in (lambda: network.forward(p, x), lambda: network.embed(p, x)):
+            tracemalloc.start()
+            try:
+                fn()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] > 40e6
+        assert peaks[1] < 2.6e6 + 4 * 8 * 272 * network.EMBED_ROWS
+
+    @pytest.mark.parametrize("x", [np.zeros((0, 5)), np.zeros((700, 5)),
+                                   np.full((700, 4), np.nan)],
+                             ids=["empty_wrong_width", "wrong_width",
+                                  "nonfinite"])
+    def test_checks_as_forward(self, x):
+        p = network.init_params([4, 3], seed=0)
+        with pytest.raises(InputError):
+            network.forward(p, x)
+        with pytest.raises(InputError):
+            network.embed(p, x)
 
 
 class TestBackward:

@@ -60,3 +60,23 @@ def test_gradcheck_outputs_are_compared(monkeypatch):
     assert line == ("gradcheck --trials 5: outputs differ: parent: "
                     "gradcheck: prototype 8.327e-06; change: "
                     "gradcheck: prototype 8.328e-06")
+
+
+def test_cluster_and_eval_run_on_the_final_checkpoint(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_uflst(src, args, env, cwd):
+        calls.append(args)
+        return f"{args[0]} output\n"
+
+    monkeypatch.setattr(same_bytes, "uflst", fake_uflst)
+    out = str(tmp_path / "side")
+    same_bytes.run_side("src", out, ["synthetic.seed=2"], ["knn_k=12"], {})
+    data, ckpt = (os.path.join(out, "data"),
+                  os.path.join(out, "run", "final_model.ckpt"))
+    assert calls[2:] == [
+        ["cluster", "--checkpoint", ckpt, "--features",
+         os.path.join(data, "train.raw64"), "--out",
+         os.path.join(out, "cluster.csv"), "knn_k=12"],
+        ["eval", "--checkpoint", ckpt, "--data", data, "knn_k=12"]]
+    assert same_bytes.files(out) == {"cluster.out", "eval.out"}

@@ -8,15 +8,18 @@ PARENT_SRC and CHANGE_SRC are the `src` directories of two checkouts.  For
 every workload of `perfbench/run.py`, and for `fixture-hard` with the
 `triplet` and `soft_margin_triplet` losses (the random-triplet paths, which
 no workload runs), at seeds 2 and 7, it runs `uflst synth` and then
-`uflst train` from each tree, with one BLAS thread.  It then compares every
-file the two runs wrote (the synthesized data, `metrics.csv`,
-`config.yaml`, the checkpoints and the pseudo-label dumps) except
-`run.log` and `run_meta.yaml`, which hold timestamps and paths.  Last, it
-runs `uflst gradcheck --trials 5` from each tree and compares the two
-outputs, which catches a loss whose gradient drifts on paths that the
-runs do not reach.  It prints one line per run and one for the gradient
-check, and exits 1 if any file differs or exists on one side only, or if
-the gradient checks print different lines.  It reports; it times nothing.
+`uflst train` from each tree, with one BLAS thread, and then `uflst
+cluster` and `uflst eval` on the run's final checkpoint, which embed
+outside training.  It then compares every file the two sides wrote (the
+synthesized data, `metrics.csv`, `config.yaml`, the checkpoints, the
+pseudo-label dumps, the labels of `cluster` and the output of both
+commands) except `run.log` and `run_meta.yaml`, which hold timestamps and
+paths.  Last, it runs `uflst gradcheck --trials 5` from each tree and
+compares the two outputs, which catches a loss whose gradient drifts on
+paths that the runs do not reach.  It prints one line per run and one for
+the gradient check, and exits 1 if any file differs or exists on one side
+only, or if the gradient checks print different lines.  It reports; it
+times nothing.
 """
 
 from __future__ import annotations
@@ -92,11 +95,23 @@ def uflst(src, args, env, cwd):
 
 
 def run_side(src, out, synth, train, env):
+    """Synthesize, train, then cluster and evaluate with the final
+    checkpoint, all into `out`; the two commands' outputs go to
+    `cluster.out` and `eval.out`."""
     data, run_dir = os.path.join(out, "data"), os.path.join(out, "run")
     os.makedirs(out)
     uflst(src, ["synth", "--out", data, *synth], env, out)
     uflst(src, ["train", "--data", data, "--run-dir", run_dir, *train], env,
           out)
+    checkpoint = os.path.join(run_dir, "final_model.ckpt")
+    for name, args in (
+            ("cluster", ["--features", os.path.join(data, "train.raw64"),
+                         "--out", os.path.join(out, "cluster.csv")]),
+            ("eval", ["--data", data])):
+        text = uflst(src, [name, "--checkpoint", checkpoint, *args, *train],
+                     env, out)
+        with open(os.path.join(out, f"{name}.out"), "w") as f:
+            f.write(text)
 
 
 def compare_gradchecks(sides, env, cwd):
