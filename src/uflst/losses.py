@@ -125,8 +125,14 @@ def triplet_loss(emb, p, n, soft=False):
         loss = float(np.sum(pre[active]) / t)
         scale = active.astype(np.float64)[:, None] / t
     grad = scale * 2.0 * (dp - dn) + 0.0
-    np.add.at(grad, p, scale * (-2.0) * dp)
-    np.add.at(grad, n, scale * 2.0 * dn)
+    # each entry of the flat gradient takes its additions in row order, as
+    # a scatter of whole rows gives them; numpy's 1-D add.at is faster
+    dim = grad.shape[1]
+    flat, cols = grad.reshape(-1), np.arange(dim)
+    np.add.at(flat, (p[:, None] * dim + cols).ravel(),
+              (scale * (-2.0) * dp).ravel())
+    np.add.at(flat, (n[:, None] * dim + cols).ravel(),
+              (scale * 2.0 * dn).ravel())
     return loss, grad
 
 

@@ -11,7 +11,9 @@ most N k^2 / 2.  A block is a few memory-bound passes over its
 distances, so its size, not the GEMM, sets the speed (README "Scale").
 The kNN step selects no row in full: a minimum over strided column
 groups bounds each row's (k+1)-th smallest distance from above, and only
-the few entries under that bound are sorted.
+the few entries under that bound are sorted.  The blocks are left
+unclamped: `knn_sets` clamps at 0 only its bounds and the candidates it
+sorts, which gives the lists of the clamped block.
 """
 
 from __future__ import annotations
@@ -71,20 +73,46 @@ def sq_distances(a, b, out=None, b_norms=None):
     `b`, clamped at 0 against cancellation.  Stacked (..., rows, D) inputs
     give each stack entry the bits of its own 2-D call.  The one distance
     helper: re-ranking, few-shot eval, hard mining and the prototype
-    training loss all call it.
+    training loss all call it, re-ranking in its unclamped form
+    `_sq_expansion`, whose negative residues `knn_sets` ranks as 0.
 
     The bits are those of `max((|a|^2 + |b|^2) - 2 (a b^T), 0)`, with
     |b|^2 read from `b_norms` when given, which must then be
     `np.sum(b * b, axis=-1)`: a caller looping over row blocks of `a`
-    against one `b` takes them once.  `out`, when given, receives the
-    distances, so such a caller can reuse one buffer too."""
-    dist = np.matmul(a, np.swapaxes(b, -1, -2), out=out)
-    dist *= 2.0
+    against one `b` takes them once, and `a` viewing the same rows as `b`
+    reads them as |a|^2 too.  `out`, when given, receives the distances,
+    so such a caller can reuse one buffer too."""
+    dist = _sq_expansion(a, b, out, b_norms)
+    np.maximum(dist, 0.0, out=dist)
+    return dist
+
+
+def _sq_expansion(a, b, out=None, b_norms=None):
+    """`sq_distances` before the clamp: (|a|^2 + |b|^2) - 2 (a b^T), whose
+    entries can fall below 0 by rounding.
+
+    The -2 is folded into the row operand, so the GEMM gives -2 (a b^T)
+    and one add finishes each entry.  Scaling by a power of 2 is exact,
+    so (-2 a) b^T equals -(2 (a b^T)) bit for bit, and s + (-2ab) is
+    s - 2ab, unless a product or partial sum of the GEMM is subnormal,
+    where the scaling rounds.  When `a` and `b` view the same rows, as
+    in hard mining or a one-block `build_jaccard`, numpy takes a b^T by
+    SYRK, whose bits a GEMM of -2 a would not keep: that product is
+    scaled after, and |a|^2 is read from |b|^2."""
+    bt = np.swapaxes(b, -1, -2)
+    # numpy's own test for SYRK: one data pointer, shape and strides
+    same = (a.shape == b.shape and a.strides == b.strides
+            and a.__array_interface__["data"][0]
+            == b.__array_interface__["data"][0])
+    if same:
+        dist = np.matmul(a, bt, out=out)
+        dist *= -2.0
+    else:
+        dist = np.matmul(-2.0 * a, bt, out=out)
     if b_norms is None:
         b_norms = np.sum(b * b, axis=-1)
-    np.subtract(np.sum(a * a, axis=-1)[..., :, None]
-                + b_norms[..., None, :], dist, out=dist)
-    np.maximum(dist, 0.0, out=dist)
+    a_norms = b_norms if same else np.sum(a * a, axis=-1)
+    np.add(a_norms[..., :, None] + b_norms[..., None, :], dist, out=dist)
     return dist
 
 
@@ -129,16 +157,19 @@ def knn_sets(dist, k, start=0):
     """Ordered k-nearest-neighbor lists, self excluded, index tie-break.
 
     `dist` holds rows start, start+1, ... of the N x N distance matrix
-    (all of it by default); the result is a (rows, k) index array.  k is
-    clamped to N-1 with a warning when too large.
+    (all of it by default), before or after `sq_distances`' clamp at 0:
+    a negative entry ranks as 0, so both give the same lists.  The
+    result is a (rows, k) index array.  k is clamped to N-1 with a
+    warning when too large.
 
     One path serves every row.  Column j goes to strided group j % G of
     width w = min(GROUP, N // (k+1)), G = N // w, and the tail past G w
     columns to no group.  Each group holds an entry equal to its minimum,
     so the (k+1)-th smallest of the G minima is never below the row's
     (k+1)-th smallest entry, whatever the column order and the ties.
-    Every entry at or below it is a candidate, and one lexsort by (row,
-    distance, column) ranks the candidates other than self.  The cost is
+    Every entry at or below it is a candidate.  The candidates come in
+    (row, column) order, so one stable lexsort by (row, distance) ranks
+    those other than self, ties by column.  The cost is
     one minimum pass and one comparison pass over the block, a partition
     of b x G minima, and a sort of a few more than k candidates per row
     on spread-out data.  NaN distances, which leave a row short of k
@@ -157,12 +188,14 @@ def knn_sets(dist, k, start=0):
     groups = n // width
     mins = np.minimum.reduce(
         dist[:, :groups * width].reshape(b, width, groups), axis=1)
-    bound = np.partition(mins, k, axis=1)[:, k]
+    # a clamped block's minima, bound and candidates are these, with
+    # max(., 0) taken after: it never decreases, so it keeps every order
+    bound = np.maximum(np.partition(mins, k, axis=1)[:, k], 0.0)
     flat = np.flatnonzero(dist <= bound[:, None])
     rows, cols = np.divmod(flat, n)
     other = cols != rows + start
     rows, cols = rows[other], cols[other]
-    order = np.lexsort((cols, dist[rows, cols], rows))
+    order = np.lexsort((np.maximum(dist[rows, cols], 0.0), rows))
     rows, cols = rows[order], cols[order]
     rank = np.arange(rows.size) - np.searchsorted(rows, rows)
     first = rank < k
@@ -205,7 +238,8 @@ def jaccard_matrix(reciprocal):
     # the pair keys a*n + b of every set, in one array sorted in place
     keys = np.empty(np.sum(sizes * (sizes - 1) // 2), dtype=np.int64)
     end = 0
-    for s in np.unique(sizes[sizes >= 2]):
+    # the set sizes from 2 up, ascending (np.unique would import numpy.ma)
+    for s in np.flatnonzero(np.bincount(sizes)[2:]) + 2:
         # each set is ascending, so every (a, b) pair below has a < b
         sets = members[starts[sizes == s][:, None] + np.arange(s)]
         a, b = np.triu_indices(s, k=1)
@@ -267,7 +301,7 @@ def _knn_lists(emb, norms, k):
     blocks = []
     for start in range(0, n, step):
         rows = emb[start:start + step]
-        dist = sq_distances(rows, emb, buf[:len(rows)], norms)
+        dist = _sq_expansion(rows, emb, buf[:len(rows)], norms)
         local = np.arange(dist.shape[0])
         dist[local, start + local] = 0.0
         blocks.append(knn_sets(dist, k, start))

@@ -109,6 +109,22 @@ class TestSqDistances:
         assert metric.sq_distances(a, b, out) is out
         assert out.tobytes() == got.tobytes()
 
+    @pytest.mark.parametrize("view", [False, True])
+    def test_bits_of_written_out_formula_on_one_operand(self, view):
+        # numpy takes a @ a^T by SYRK, also for a view of all of a's rows,
+        # and its bits differ from a GEMM of a and a copy of a
+        a = np.random.default_rng(13).normal(size=(50, 7)) * 10.0
+        rows = a[0:50] if view else a
+        na = np.sum(a * a, axis=-1)
+        raw = (na[:, None] + na[None, :]) - 2.0 * (rows @ a.T)
+        assert raw.tobytes() != (
+            (na[:, None] + na[None, :]) - 2.0 * (a @ a.copy().T)).tobytes()
+        assert (metric.sq_distances(rows, a).tobytes()
+                == np.maximum(raw, 0.0).tobytes())
+        out = np.full(raw.shape, np.nan)
+        metric.sq_distances(rows, a, out, na)
+        assert out.tobytes() == np.maximum(raw, 0.0).tobytes()
+
 
 class TestLabelGroups:
     @settings(max_examples=200, deadline=None)
@@ -288,6 +304,121 @@ class TestGroupBound:
                                 [0, 1, 3, 4, 5]]
 
 
+@st.composite
+def unclamped_blocks(draw):
+    """(group, block, k, start): the row block start:stop of the unclamped
+    distances `build_jaccard` hands `knn_sets`, diagonal at 0, over
+    integer-grid points (exact ties, at 0 for repeated points) or copies
+    of a few random points, some nudged by about an ulp (rounding
+    residues on both sides of 0, next to the copies' own)."""
+    group = draw(st.sampled_from([1, 2, 3, 32]))
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k + 1, 90))
+    dim = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        points = rng.integers(-1, 2, size=(n, dim)).astype(np.float64)
+    else:
+        distinct = rng.normal(size=(draw(st.integers(1, 3)), dim)) * 10.0
+        points = distinct[rng.integers(0, len(distinct), size=n)]
+        nudged = rng.random(n) < draw(st.sampled_from([0.0, 0.3, 0.7]))
+        points[nudged] *= 1.0 + rng.normal(size=(nudged.sum(), dim)) * 1e-15
+    start = draw(st.integers(0, n - 1))
+    stop = draw(st.integers(start + 1, n))
+    block = metric._sq_expansion(points[start:stop], points)
+    local = np.arange(stop - start)
+    block[local, start + local] = 0.0
+    return group, block, k, start
+
+
+class TestClampInKnn:
+    """`knn_sets` on the unclamped block gives the lists of the block
+    after `np.maximum(., 0)`, as `sq_distances` returns it."""
+
+    def test_lists_of_the_clamped_block(self):
+        seen = {"negative": 0, "tied_at_0": 0}
+
+        @settings(max_examples=300, deadline=None)
+        @given(unclamped_blocks())
+        def check(case):
+            group, block, k, start = case
+            clamped = np.maximum(block, 0.0)
+            seen["negative"] += bool(np.any(block < 0.0))
+            # a row with two other columns at 0 once clamped
+            seen["tied_at_0"] += bool(
+                np.any(np.count_nonzero(clamped == 0.0, axis=1) > 2))
+            with mock.patch.object(metric, "GROUP", group):
+                got = metric.knn_sets(block, k, start)
+                want = metric.knn_sets(clamped, k, start)
+            assert got.tobytes() == want.tobytes()
+
+        check()
+        assert seen["negative"] > 0 and seen["tied_at_0"] > 0
+
+    def test_negative_bound_keeps_the_zeros(self):
+        # every other column of row 0 is 0 once clamped, and the k+1
+        # groups' minima are negative: the index tie-break picks the list
+        dist = np.full((1, 12), -1e-15)
+        dist[0, [0, 1, 2, 5]] = [0.0, 0.0, 0.0, 1.0]
+        for group in (1, 2, 3):
+            with mock.patch.object(metric, "GROUP", group):
+                assert metric.knn_sets(dist, 3).tolist() == [[1, 2, 3]]
+
+
+def parent_block_jaccard(emb, k):
+    """`build_jaccard` with its block distances taken as they were before
+    the -2 went into the GEMM and the clamp into `knn_sets`: a GEMM, `*=
+    2`, a subtract from |a|^2 + |b|^2, then `np.maximum(., 0)`."""
+    n = len(emb)
+    norms = np.sum(emb * emb, axis=-1)
+    step = max(1, metric.BLOCK_ENTRIES // n)
+    buf = np.empty((min(step, n), n))
+    blocks = []
+    for start in range(0, n, step):
+        rows = emb[start:start + step]
+        dist = np.matmul(rows, emb.T, out=buf[:len(rows)])
+        dist *= 2.0
+        np.subtract(np.sum(rows * rows, axis=-1)[:, None] + norms[None, :],
+                    dist, out=dist)
+        np.maximum(dist, 0.0, out=dist)
+        local = np.arange(len(rows))
+        dist[local, start + local] = 0.0
+        blocks.append(metric.knn_sets(dist, k, start))
+    return metric.jaccard_matrix(metric.k_reciprocal_sets(
+        np.concatenate(blocks)))
+
+
+class TestBlockBits:
+    @pytest.mark.parametrize("layout", ["random", "grid"])
+    @pytest.mark.parametrize("rows", [8, 32, 131, 2000])
+    def test_edges_of_the_clamped_blocks(self, rows, layout):
+        # rows per block as at N = 16k, 4k and 1k with the default
+        # BLOCK_ENTRIES, and one block, here at N = 2000
+        rng = np.random.default_rng(rows)
+        if layout == "random":
+            points = rng.normal(size=(2000, 16))
+        else:
+            points = rng.integers(-1, 2, size=(2000, 3)).astype(np.float64)
+        with mock.patch.object(metric, "BLOCK_ENTRIES", rows * 2000), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = metric.build_jaccard(points, 12)
+            want = parent_block_jaccard(points, 12)
+        assert got.rows.size > 0
+        for field in ("rows", "cols", "dist"):
+            assert (getattr(got, field).tobytes()
+                    == getattr(want, field).tobytes())
+
+    def test_edges_at_the_default_block_size(self):
+        points = np.random.default_rng(21).normal(size=(1000, 16)) * 3.0
+        assert metric.BLOCK_ENTRIES // len(points) > 100
+        got, want = (metric.build_jaccard(points, 12),
+                     parent_block_jaccard(points, 12))
+        for field in ("rows", "cols", "dist"):
+            assert (getattr(got, field).tobytes()
+                    == getattr(want, field).tobytes())
+
+
 class TestReciprocal:
     def test_matches_set_enumeration(self):
         rng = np.random.default_rng(3)
@@ -425,6 +556,32 @@ def sparse_jaccard(points, k, block):
             warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return metric.build_jaccard(points, k)
+
+
+NUMPY_MA_SCRIPT = """
+import sys
+import numpy as np
+if "numpy.ma" in sys.modules:
+    print("preloaded")
+else:
+    from uflst import metric
+    points = np.random.default_rng(0).normal(size=(300, 4))
+    jm = metric.build_jaccard(points, 8)
+    assert np.any(np.bincount(jm.rows) >= 2)
+    print("numpy.ma" in sys.modules)
+"""
+
+
+def test_build_jaccard_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma, 10-13 ms of a process's start
+    src = os.path.dirname(os.path.dirname(metric.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_SCRIPT], capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.strip() == "preloaded":
+        pytest.skip("`import numpy` loads numpy.ma here")
+    assert proc.stdout.strip() == "False"
 
 
 class TestSparseMatchesDense:

@@ -80,3 +80,20 @@ def test_cluster_and_eval_run_on_the_final_checkpoint(tmp_path, monkeypatch):
          os.path.join(out, "cluster.csv"), "knn_k=12"],
         ["eval", "--checkpoint", ckpt, "--data", data, "knn_k=12"]]
     assert same_bytes.files(out) == {"cluster.out", "eval.out"}
+
+
+def test_runs_cover_the_workloads_and_16k_rays():
+    bench = same_bytes.load_bench()
+    runs = list(same_bytes.runs(bench))
+    assert [(label, seed) for label, seed, _, _ in runs[:2]] == [
+        ("fixture-hard", 2), ("fixture-hard", 7)]
+    workloads = {label for label, *_ in runs}
+    assert set(bench.WORKLOADS) < workloads
+    # one round on 16k rays with the README "Scale" overrides: 8-row
+    # re-ranking blocks, which no workload reaches
+    label, seed, synth, train = runs[-1]
+    assert (label, seed) == ("rays-16k", 7)
+    assert synth == ["synthetic.kind=rays", "synthetic.seed=7",
+                     "synthetic.points_per_class=800"]
+    assert train == ["seed=7", "knn_k=12", "dbscan.p_fraction=0.035",
+                     "rounds=1", "epochs_per_round=1", "eval_episodes=0"]

@@ -5,21 +5,22 @@ Usage:
     python3 tools/same_bytes.py PARENT_SRC CHANGE_SRC
 
 PARENT_SRC and CHANGE_SRC are the `src` directories of two checkouts.  For
-every workload of `perfbench/run.py`, and for `fixture-hard` with the
+every workload of `perfbench/run.py`, for `fixture-hard` with the
 `triplet` and `soft_margin_triplet` losses (the random-triplet paths, which
-no workload runs), at seeds 2 and 7, it runs `uflst synth` and then
-`uflst train` from each tree, with one BLAS thread, and then `uflst
-cluster` and `uflst eval` on the run's final checkpoint, which embed
-outside training.  It then compares every file the two sides wrote (the
-synthesized data, `metrics.csv`, `config.yaml`, the checkpoints, the
-pseudo-label dumps, the labels of `cluster` and the output of both
-commands) except `run.log` and `run_meta.yaml`, which hold timestamps and
-paths.  Last, it runs `uflst gradcheck --trials 5` from each tree and
-compares the two outputs, which catches a loss whose gradient drifts on
-paths that the runs do not reach.  It prints one line per run and one for
-the gradient check, and exits 1 if any file differs or exists on one side
-only, or if the gradient checks print different lines.  It reports; it
-times nothing.
+no workload runs), and for one round on 16k rays with the README "Scale"
+overrides (whose re-ranking blocks have 8 rows, fewer than any workload's),
+at seeds 2 and 7, it runs `uflst synth` and then `uflst train` from each
+tree, with one BLAS thread, and then `uflst cluster` and `uflst eval` on
+the run's final checkpoint, which embed outside training.  It then
+compares every file the two sides wrote (the synthesized data,
+`metrics.csv`, `config.yaml`, the checkpoints, the pseudo-label dumps, the
+labels of `cluster` and the output of both commands) except `run.log` and
+`run_meta.yaml`, which hold timestamps and paths.  Last, it runs `uflst
+gradcheck --trials 5` from each tree and compares the two outputs, which
+catches a loss whose gradient drifts on paths that the runs do not reach.
+It prints one line per run and one for the gradient check, and exits 1 if
+any file differs or exists on one side only, or if the gradient checks
+print different lines.  It reports; it times nothing.
 """
 
 from __future__ import annotations
@@ -43,6 +44,13 @@ RUNS = (("fixture-hard", "fixture-hard", ()),
         ("fixture-triplet", "fixture-hard", ("loss.kind=triplet",)),
         ("fixture-soft-margin", "fixture-hard",
          ("loss.kind=soft_margin_triplet",)))
+# (label, synth overrides, train overrides) of the runs that are no
+# workload; "{seed}" stands for the seed
+OTHER_RUNS = (("rays-16k",
+               ("synthetic.kind=rays", "synthetic.seed={seed}",
+                "synthetic.points_per_class=800"),
+               ("seed={seed}", "knn_k=12", "dbscan.p_fraction=0.035",
+                "rounds=1", "epochs_per_round=1", "eval_episodes=0")),)
 
 
 def load_bench():
@@ -56,6 +64,19 @@ def load_bench():
     finally:
         sys.path[:] = saved
     return module
+
+
+def runs(bench):
+    """(label, seed, synth overrides, train overrides) of every run, the
+    workload runs first; `bench` is `load_bench()`."""
+    for label, workload, extra in RUNS:
+        for seed in SEEDS:
+            w = bench.Workload(workload, seed, ROOT)
+            yield label, seed, w.synth_overrides, [*w.train_overrides, *extra]
+    for label, synth, train in OTHER_RUNS:
+        for seed in SEEDS:
+            yield (label, seed, [o.format(seed=seed) for o in synth],
+                   [o.format(seed=seed) for o in train])
 
 
 def files(top):
@@ -137,22 +158,19 @@ def main(argv=None):
              "change": os.path.abspath(args.change_src)}
     failed = 0
     with tempfile.TemporaryDirectory(prefix="same_bytes_") as work:
-        for label, workload, extra in RUNS:
-            for seed in SEEDS:
-                w = bench.Workload(workload, seed, ROOT)
-                train = [*w.train_overrides, *extra]
-                outs = {}
-                for side, src in sides.items():
-                    outs[side] = os.path.join(work, side, f"{label}-{seed}")
-                    run_side(src, outs[side], w.synth_overrides, train, env)
-                differ = compare_dirs(outs["parent"], outs["change"])
-                compared = len(files(outs["parent"]) | files(outs["change"]))
-                if differ:
-                    failed += 1
-                    print(f"{label} seed {seed}: {len(differ)} of {compared} "
-                          f"files differ: {', '.join(differ)}")
-                else:
-                    print(f"{label} seed {seed}: {compared} files identical")
+        for label, seed, synth, train in runs(bench):
+            outs = {}
+            for side, src in sides.items():
+                outs[side] = os.path.join(work, side, f"{label}-{seed}")
+                run_side(src, outs[side], synth, train, env)
+            differ = compare_dirs(outs["parent"], outs["change"])
+            compared = len(files(outs["parent"]) | files(outs["change"]))
+            if differ:
+                failed += 1
+                print(f"{label} seed {seed}: {len(differ)} of {compared} "
+                      f"files differ: {', '.join(differ)}")
+            else:
+                print(f"{label} seed {seed}: {compared} files identical")
         line, same = compare_gradchecks(sides, env, work)
         print(line)
         failed += not same
